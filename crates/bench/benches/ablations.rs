@@ -1,5 +1,5 @@
 //! Ablation benchmarks for the design choices called out in DESIGN.md:
-//! CG vs dense LU, Jacobi preconditioning, backward Euler vs RK4,
+//! Jacobi preconditioning, backward Euler vs RK4,
 //! blind-spread vs thermally optimised patterning, and the
 //! leakage-temperature loop vs a single cold-leakage solve.
 
@@ -34,32 +34,6 @@ fn thermal_setup(cores: usize) -> (ThermalModel, Vec<Watts>) {
         })
         .collect();
     (model, power)
-}
-
-/// CG vs pre-factored dense LU for steady-state solves. LU pays a large
-/// factorisation cost but each subsequent solve is O(n²); CG re-solves
-/// from scratch. The crossover justifies using the prefactored solver
-/// for sweeps and CG for one-shots.
-fn bench_cg_vs_lu(c: &mut Criterion) {
-    let mut g = c.benchmark_group("ablation_cg_vs_lu");
-    g.warm_up_time(Duration::from_millis(300));
-    g.measurement_time(Duration::from_secs(3));
-    g.sample_size(20);
-
-    for cores in [100_usize, 198] {
-        let (model, power) = thermal_setup(cores);
-        g.bench_with_input(BenchmarkId::new("cg_solve", cores), &cores, |b, _| {
-            b.iter(|| black_box(model.steady_state(&power).unwrap()));
-        });
-        g.bench_with_input(BenchmarkId::new("lu_factor_once", cores), &cores, |b, _| {
-            b.iter(|| black_box(model.prefactored().unwrap()));
-        });
-        let solver = model.prefactored().unwrap();
-        g.bench_with_input(BenchmarkId::new("lu_resolve", cores), &cores, |b, _| {
-            b.iter(|| black_box(solver.solve(&power).unwrap()));
-        });
-    }
-    g.finish();
 }
 
 /// Jacobi preconditioning on vs off for the thermal conductance matrix.
@@ -183,7 +157,6 @@ fn bench_subdivision(c: &mut Criterion) {
 
 criterion_group!(
     ablations,
-    bench_cg_vs_lu,
     bench_preconditioner,
     bench_be_vs_rk4,
     bench_patterning,

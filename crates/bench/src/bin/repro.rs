@@ -52,12 +52,10 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
-use darksil_bench::{
-    fig14_total_energy, ArtefactState, Fidelity, Journal, JournalEntry, DEFAULT_JOURNAL_PATH,
-};
+use darksil_bench::{fig14_total_energy, Fidelity};
 use darksil_engine::{
-    BackoffPolicy, CacheOutcome, Engine, JobSpec, ResultCache, Supervised, Supervisor,
-    DEFAULT_CACHE_DIR,
+    ArtefactState, BackoffPolicy, CacheOutcome, Engine, JobSpec, Journal, JournalEntry,
+    ResultCache, Supervised, Supervisor, DEFAULT_CACHE_DIR, DEFAULT_JOURNAL_PATH,
 };
 use darksil_json::{Json, ToJson};
 use darksil_robust::{DarksilError, Fault, FaultPlan};

@@ -26,10 +26,10 @@
 
 pub mod extras;
 pub mod figures;
-pub mod journal;
 
+/// The run journal lives in `darksil-engine`; these two names stay
+/// importable from here for the standalone benchmark harness, which
+/// builds against this crate's public API.
+pub use darksil_engine::{ArtefactState, Journal};
 pub use extras::*;
 pub use figures::*;
-pub use journal::{
-    ArtefactState, Journal, JournalCounts, JournalEntry, DEFAULT_JOURNAL_PATH, JOURNAL_SCHEMA,
-};

@@ -2,10 +2,11 @@
 
 use darksil_mapping::{Mapping, Platform};
 use darksil_power::VfLevel;
-use darksil_thermal::TransientSim;
+use darksil_thermal::ThermalMap;
 use darksil_units::{Celsius, Seconds, Watts};
 
-use crate::{BoostError, PolicyConfig, PolicyTrace, TraceSample};
+use crate::driver::{Controller, Driver};
+use crate::{BoostError, PolicyConfig, PolicyTrace};
 
 /// Finds the highest discrete V/f level whose *steady state* keeps the
 /// peak temperature at or below the threshold and the total power under
@@ -22,6 +23,16 @@ pub fn max_safe_level(
     mapping: &Mapping,
     config: &PolicyConfig,
 ) -> Result<VfLevel, BoostError> {
+    let idx = max_safe_index(platform, mapping, config)?;
+    platform.dvfs().get(idx).ok_or(BoostError::NoFeasibleLevel)
+}
+
+/// [`max_safe_level`] as an index into the platform's DVFS table.
+fn max_safe_index(
+    platform: &Platform,
+    mapping: &Mapping,
+    config: &PolicyConfig,
+) -> Result<usize, BoostError> {
     let dvfs = platform.dvfs();
     let mut working = mapping.clone();
     for idx in (0..dvfs.len()).rev() {
@@ -45,7 +56,7 @@ pub fn max_safe_level(
                 continue;
             }
         }
-        return Ok(level);
+        return Ok(idx);
     }
     Err(BoostError::NoFeasibleLevel)
 }
@@ -63,51 +74,22 @@ pub fn run_constant(
     duration: Seconds,
     config: &PolicyConfig,
 ) -> Result<PolicyTrace, BoostError> {
-    if config.period.value() <= 0.0 || !config.period.value().is_finite() {
-        return Err(BoostError::InvalidConfig {
-            reason: format!("period must be positive, got {}", config.period),
-        });
-    }
-    if !duration.value().is_finite() || duration.value() <= 0.0 || duration < config.period {
-        return Err(BoostError::InvalidConfig {
-            reason: format!("duration {duration} shorter than one period"),
-        });
-    }
-    if mapping.entries().is_empty() {
-        return Err(BoostError::InvalidConfig {
-            reason: "mapping has no instances".into(),
-        });
+    config.validate(mapping, duration)?;
+    let mut fixed = Fixed(max_safe_index(platform, mapping, config)?);
+    Driver::new(platform, config)?.run(mapping, duration, &mut fixed)
+}
+
+/// Holds every entry at one level for the whole run.
+struct Fixed(usize);
+
+impl Controller for Fixed {
+    const POLICY: &'static str = "constant";
+
+    fn initial_level(&self) -> usize {
+        self.0
     }
 
-    let level = max_safe_level(platform, mapping, config)?;
-    crate::events::emit_run_start("constant", config);
-    let mut working = mapping.clone();
-    for entry in working.entries_mut() {
-        entry.level = level;
-    }
-
-    let mut sim = TransientSim::new(platform.thermal(), config.period)?;
-    sim.set_watermark(config.threshold);
-    let steps = (duration.value() / config.period.value()).round() as usize;
-    let gips = working.total_gips(platform);
-    let mut trace = PolicyTrace::new();
-
-    for _ in 0..steps {
-        crate::error::check_step("constant-frequency policy step")?;
-        let temps: Vec<Celsius> = sim.snapshot().die_temperatures().collect();
-        let power_map = working.power_map_at(platform, &temps);
-        let total_power: Watts = power_map.iter().sum();
-        let map = sim.step(&power_map)?;
-        trace.push(TraceSample {
-            time: sim.elapsed(),
-            frequency: level.frequency,
-            peak_temperature: map.peak(),
-            gips,
-            power: total_power,
-        });
-    }
-    crate::events::emit_run_summary("constant", &trace);
-    Ok(trace)
+    fn decide(&mut self, _: Seconds, _: &ThermalMap, _: Watts, _: &mut [usize]) {}
 }
 
 #[cfg(test)]

@@ -24,8 +24,8 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 mod constant;
+mod driver;
 mod error;
-mod events;
 mod ntc;
 mod per_instance;
 mod phases;

@@ -18,10 +18,13 @@
 //! DVFS domains only pay off with finer thermal domains.
 
 use darksil_mapping::{Mapping, Platform};
-use darksil_thermal::TransientSim;
+use darksil_power::DvfsTable;
+use darksil_thermal::ThermalMap;
 use darksil_units::{Celsius, Hertz, Seconds, Watts};
 
-use crate::{BoostError, PolicyConfig, PolicyTrace, TraceSample};
+use crate::driver::{Controller, Driver};
+use crate::turbo::nominal_start;
+use crate::{BoostError, PolicyConfig, PolicyTrace};
 
 /// Runs the per-instance boosting policy (see module docs).
 ///
@@ -35,78 +38,56 @@ pub fn run_per_instance_boosting(
     duration: Seconds,
     config: &PolicyConfig,
 ) -> Result<PolicyTrace, BoostError> {
-    if config.period.value() <= 0.0 || !config.period.value().is_finite() {
-        return Err(BoostError::InvalidConfig {
-            reason: format!("period must be positive, got {}", config.period),
-        });
+    config.validate(mapping, duration)?;
+    let mut controller = PerInstance {
+        dvfs: platform.dvfs(),
+        config,
+        mapping,
+        start: nominal_start(platform),
+    };
+    Driver::new(platform, config)?.run(mapping, duration, &mut controller)
+}
+
+/// One chip-wide-style loop per instance, each reacting to its own
+/// hottest core; the shared power cap throttles everyone.
+struct PerInstance<'a> {
+    dvfs: &'a DvfsTable,
+    config: &'a PolicyConfig,
+    mapping: &'a Mapping,
+    start: usize,
+}
+
+impl Controller for PerInstance<'_> {
+    const POLICY: &'static str = "per_instance";
+
+    fn initial_level(&self) -> usize {
+        self.start
     }
-    if !duration.value().is_finite() || duration.value() <= 0.0 || duration < config.period {
-        return Err(BoostError::InvalidConfig {
-            reason: format!("duration {duration} shorter than one period"),
-        });
-    }
-    if mapping.entries().is_empty() {
-        return Err(BoostError::InvalidConfig {
-            reason: "mapping has no instances".into(),
-        });
-    }
 
-    let dvfs = platform.dvfs();
-    let start = dvfs
-        .floor_index(platform.node().nominal_max_frequency())
-        .unwrap_or(dvfs.len() - 1);
-    let mut levels = vec![start; mapping.entries().len()];
-
-    let mut sim = TransientSim::new(platform.thermal(), config.period)?;
-    let steps = (duration.value() / config.period.value()).round() as usize;
-    let mut working = mapping.clone();
-    let mut trace = PolicyTrace::new();
-
-    for _ in 0..steps {
-        crate::error::check_step("per-instance boosting step")?;
-        for (entry, &idx) in working.entries_mut().iter_mut().zip(&levels) {
-            if let Some(level) = dvfs.get(idx) {
-                entry.level = level;
-            }
-        }
-        let temps: Vec<Celsius> = sim.snapshot().die_temperatures().collect();
-        let power_map = working.power_map_at(platform, &temps);
-        let total_power: Watts = power_map.iter().sum();
-        let map = sim.step(&power_map)?;
-
-        // Mean frequency across instances for the trace.
-        let mean_freq = {
-            let sum: f64 = levels
-                .iter()
-                .map(|&i| dvfs.get(i).map_or(0.0, |l| l.frequency.value()))
-                .sum();
-            Hertz::new(sum / levels.len() as f64)
-        };
-        trace.push(TraceSample {
-            time: sim.elapsed(),
-            frequency: mean_freq,
-            peak_temperature: map.peak(),
-            gips: working.total_gips(platform),
-            power: total_power,
-        });
-
-        // Per-instance control: each instance reacts to *its own*
-        // hottest core; the shared power cap throttles everyone.
-        let over_cap = config.power_cap.is_some_and(|cap| total_power > cap);
-        for (entry, idx) in working.entries().iter().zip(levels.iter_mut()) {
+    fn decide(&mut self, _: Seconds, map: &ThermalMap, power: Watts, levels: &mut [usize]) {
+        let over_cap = self.config.power_cap.is_some_and(|cap| power > cap);
+        for (entry, idx) in self.mapping.entries().iter().zip(levels.iter_mut()) {
             let instance_peak = entry
                 .cores
                 .iter()
                 .map(|c| map.core(*c))
                 .fold(Celsius::new(f64::NEG_INFINITY), Celsius::max);
-            if instance_peak > config.threshold || over_cap {
-                *idx = dvfs.step_down(*idx);
+            if instance_peak > self.config.threshold || over_cap {
+                *idx = self.dvfs.step_down(*idx);
             } else {
-                *idx = dvfs.step_up(*idx);
+                *idx = self.dvfs.step_up(*idx);
             }
         }
     }
-    Ok(trace)
+
+    /// The mean frequency across instances.
+    fn frequency(&self, dvfs: &DvfsTable, levels: &[usize]) -> Hertz {
+        let sum: f64 = levels
+            .iter()
+            .map(|&i| dvfs.get(i).map_or(0.0, |l| l.frequency.value()))
+            .sum();
+        Hertz::new(sum / levels.len() as f64)
+    }
 }
 
 #[cfg(test)]

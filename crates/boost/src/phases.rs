@@ -10,10 +10,11 @@
 //! trace per phase.
 
 use darksil_mapping::{Mapping, Platform};
-use darksil_thermal::TransientSim;
-use darksil_units::{Celsius, Gips, Seconds, Watts};
+use darksil_units::Seconds;
 
-use crate::{BoostError, PolicyConfig, PolicyTrace, TraceSample};
+use crate::driver::Driver;
+use crate::turbo::ChipWide;
+use crate::{BoostError, PolicyConfig, PolicyTrace};
 
 /// One phase of a phased run.
 #[derive(Debug, Clone)]
@@ -29,6 +30,7 @@ pub struct Phase {
 /// preserving thermal state between them. The controller's level index
 /// resets to the nominal maximum at each phase start (a new workload
 /// arrives requesting full speed); the package temperature does not.
+/// Each phase is its own `boost.run` … `boost.summary` event segment.
 ///
 /// # Errors
 ///
@@ -45,67 +47,27 @@ pub fn run_phased_boosting(
             reason: "no phases given".into(),
         });
     }
-    if config.period.value() <= 0.0 || !config.period.value().is_finite() {
-        return Err(BoostError::InvalidConfig {
-            reason: format!("period must be positive, got {}", config.period),
-        });
-    }
     for (i, phase) in phases.iter().enumerate() {
-        if phase.duration < config.period || !phase.duration.value().is_finite() {
-            return Err(BoostError::InvalidConfig {
-                reason: format!("phase {i} shorter than one control period"),
-            });
-        }
-        if phase.mapping.entries().is_empty() {
-            return Err(BoostError::InvalidConfig {
-                reason: format!("phase {i} has an empty mapping"),
-            });
-        }
+        config
+            .validate(&phase.mapping, phase.duration)
+            .map_err(|e| match e {
+                BoostError::InvalidConfig { reason } => BoostError::InvalidConfig {
+                    reason: format!("phase {i}: {reason}"),
+                },
+                other => other,
+            })?;
     }
-
-    let dvfs = platform.dvfs();
-    let mut sim = TransientSim::new(platform.thermal(), config.period)?;
-    let mut traces = Vec::with_capacity(phases.len());
-
-    for phase in phases {
-        let mut level_idx = dvfs
-            .floor_index(platform.node().nominal_max_frequency())
-            .unwrap_or(dvfs.len() - 1);
-        let mut working = phase.mapping.clone();
-        let steps = (phase.duration.value() / config.period.value()).round() as usize;
-        let mut trace = PolicyTrace::new();
-
-        for _ in 0..steps {
-            crate::error::check_step("phased boosting step")?;
-            let Some(level) = dvfs.get(level_idx) else {
-                break;
-            };
-            for entry in working.entries_mut() {
-                entry.level = level;
-            }
-            let temps: Vec<Celsius> = sim.snapshot().die_temperatures().collect();
-            let power_map = working.power_map_at(platform, &temps);
-            let total_power: Watts = power_map.iter().sum();
-            let map = sim.step(&power_map)?;
-            let peak = map.peak();
-            let gips: Gips = working.total_gips(platform);
-            trace.push(TraceSample {
-                time: sim.elapsed(),
-                frequency: level.frequency,
-                peak_temperature: peak,
-                gips,
-                power: total_power,
-            });
-            let over_cap = config.power_cap.is_some_and(|cap| total_power > cap);
-            if peak > config.threshold || over_cap {
-                level_idx = dvfs.step_down(level_idx);
-            } else {
-                level_idx = dvfs.step_up(level_idx);
-            }
-        }
-        traces.push(trace);
-    }
-    Ok(traces)
+    let mut driver = Driver::new(platform, config)?;
+    phases
+        .iter()
+        .map(|phase| {
+            driver.run(
+                &phase.mapping,
+                phase.duration,
+                &mut ChipWide::new(platform, config),
+            )
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -113,7 +75,7 @@ mod tests {
     use super::*;
     use darksil_mapping::place_patterned;
     use darksil_power::TechnologyNode;
-    use darksil_units::Hertz;
+    use darksil_units::{Celsius, Hertz};
     use darksil_workload::{ParsecApp, Workload};
 
     fn platform() -> Platform {

@@ -1,10 +1,12 @@
 //! The closed-loop boosting controller.
 
 use darksil_mapping::{Mapping, Platform};
-use darksil_thermal::TransientSim;
-use darksil_units::{Celsius, Gips, Seconds, Watts};
+use darksil_power::DvfsTable;
+use darksil_thermal::ThermalMap;
+use darksil_units::{Celsius, Seconds, Watts};
 
-use crate::{BoostError, PolicyTrace, TraceSample};
+use crate::driver::{Controller, Driver};
+use crate::{BoostError, PolicyTrace};
 
 /// Configuration shared by the transient policies.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -28,27 +30,6 @@ impl Default for PolicyConfig {
     }
 }
 
-impl PolicyConfig {
-    fn validate(&self, mapping: &Mapping, duration: Seconds) -> Result<(), BoostError> {
-        if self.period.value() <= 0.0 || !self.period.value().is_finite() {
-            return Err(BoostError::InvalidConfig {
-                reason: format!("period must be positive, got {}", self.period),
-            });
-        }
-        if !duration.value().is_finite() || duration.value() <= 0.0 || duration < self.period {
-            return Err(BoostError::InvalidConfig {
-                reason: format!("duration {duration} shorter than one period"),
-            });
-        }
-        if mapping.entries().is_empty() {
-            return Err(BoostError::InvalidConfig {
-                reason: "mapping has no instances".into(),
-            });
-        }
-        Ok(())
-    }
-}
-
 /// Runs the boosting policy: every period the chip-wide V/f level steps
 /// 200 MHz up if the peak temperature is below the threshold (and the
 /// power cap is respected), down otherwise — the oscillating behaviour
@@ -69,66 +50,74 @@ pub fn run_boosting(
     config: &PolicyConfig,
 ) -> Result<PolicyTrace, BoostError> {
     config.validate(mapping, duration)?;
-    crate::events::emit_run_start("boosting", config);
+    Driver::new(platform, config)?.run(mapping, duration, &mut ChipWide::new(platform, config))
+}
+
+/// The level index a new workload starts at: the nominal maximum
+/// frequency, requesting full speed.
+pub(crate) fn nominal_start(platform: &Platform) -> usize {
     let dvfs = platform.dvfs();
-    let mut level_idx = dvfs
-        .floor_index(platform.node().nominal_max_frequency())
-        .unwrap_or(dvfs.len() - 1);
+    dvfs.floor_index(platform.node().nominal_max_frequency())
+        .unwrap_or(dvfs.len() - 1)
+}
 
-    let mut sim = TransientSim::new(platform.thermal(), config.period)?;
-    sim.set_watermark(config.threshold);
-    let steps = (duration.value() / config.period.value()).round() as usize;
-    let mut working = mapping.clone();
-    let mut trace = PolicyTrace::new();
+/// The chip-wide controller of §6: one level for every entry, stepped
+/// down when the peak temperature exceeds the threshold or the power
+/// exceeds the cap, up otherwise.
+pub(crate) struct ChipWide<'a> {
+    dvfs: &'a DvfsTable,
+    config: &'a PolicyConfig,
+    start: usize,
+}
 
-    for _ in 0..steps {
-        crate::error::check_step("turbo boosting step")?;
-        let Some(level) = dvfs.get(level_idx) else {
-            break;
+impl<'a> ChipWide<'a> {
+    pub(crate) fn new(platform: &'a Platform, config: &'a PolicyConfig) -> Self {
+        Self {
+            dvfs: platform.dvfs(),
+            config,
+            start: nominal_start(platform),
+        }
+    }
+}
+
+impl Controller for ChipWide<'_> {
+    const POLICY: &'static str = "boosting";
+
+    fn initial_level(&self) -> usize {
+        self.start
+    }
+
+    fn decide(&mut self, time: Seconds, map: &ThermalMap, power: Watts, levels: &mut [usize]) {
+        let Some(&current) = levels.first() else {
+            return;
         };
-        for entry in working.entries_mut() {
-            entry.level = level;
-        }
-        // Power from current per-core temperatures (leakage coupling).
-        let temps: Vec<Celsius> = sim.snapshot().die_temperatures().collect();
-        let power_map = working.power_map_at(platform, &temps);
-        let total_power: Watts = power_map.iter().sum();
-        let map = sim.step(&power_map)?;
         let peak = map.peak();
-
-        let gips: Gips = working.total_gips(platform);
-        trace.push(TraceSample {
-            time: sim.elapsed(),
-            frequency: level.frequency,
-            peak_temperature: peak,
-            gips,
-            power: total_power,
-        });
-
-        let over_cap = config.power_cap.is_some_and(|cap| total_power > cap);
-        let prev_idx = level_idx;
-        if peak > config.threshold || over_cap {
-            level_idx = dvfs.step_down(level_idx);
+        let over_cap = self.config.power_cap.is_some_and(|cap| power > cap);
+        let next = if peak > self.config.threshold || over_cap {
+            self.dvfs.step_down(current)
         } else {
-            level_idx = dvfs.step_up(level_idx);
-        }
-        if level_idx != prev_idx && darksil_obs::events_enabled() {
+            self.dvfs.step_up(current)
+        };
+        levels.fill(next);
+        if next != current && darksil_obs::events_enabled() {
             // The controller changed the chip-wide V/f level: record the
             // transition with whichever condition forced the decision.
-            let reason = if peak > config.threshold {
+            let reason = if peak > self.config.threshold {
                 "thermal"
             } else if over_cap {
                 "power_cap"
             } else {
                 "boost"
             };
-            let to_ghz = dvfs
-                .get(level_idx)
-                .map_or(level.frequency.as_ghz(), |l| l.frequency.as_ghz());
+            let from_ghz = self.dvfs.get(current).map_or(0.0, |l| l.frequency.as_ghz());
+            let to_ghz = self
+                .dvfs
+                .get(next)
+                .map_or(from_ghz, |l| l.frequency.as_ghz());
             darksil_obs::event("boost.transition", || {
                 vec![
-                    ("t_s", sim.elapsed().value().into()),
-                    ("from_ghz", level.frequency.as_ghz().into()),
+                    ("t_s", time.value().into()),
+                    ("from_ghz", from_ghz.into()),
                     ("to_ghz", to_ghz.into()),
                     ("peak_c", peak.value().into()),
                     ("reason", reason.into()),
@@ -136,8 +125,6 @@ pub fn run_boosting(
             });
         }
     }
-    crate::events::emit_run_summary("boosting", &trace);
-    Ok(trace)
 }
 
 #[cfg(test)]

@@ -1,4 +1,5 @@
-//! The run journal: per-artefact checkpoint state for `repro --resume`.
+//! The run journal: per-job checkpoint state for `repro --resume`, the
+//! sweep runner and the `serve` daemon.
 //!
 //! `repro` records every artefact's lifecycle
 //! (`pending → running → done | degraded | failed`) in a single JSON
@@ -90,7 +91,7 @@ pub struct JournalEntry {
     /// The final error, for `failed` artefacts.
     pub error: Option<String>,
     /// Supervision attempt timeline (one object per attempt, as
-    /// produced by `darksil_engine::AttemptRecord`).
+    /// produced by [`AttemptRecord`](crate::AttemptRecord)).
     pub attempts: Vec<Json>,
     /// Wall-clock seconds across all attempts (0 until finished).
     pub seconds: f64,

@@ -1,6 +1,6 @@
 //! `darksil-engine` — the workspace's parallel execution subsystem.
 //!
-//! Three pieces, all std-only (the workspace is dependency-free by
+//! Five pieces, all std-only (the workspace is dependency-free by
 //! design):
 //!
 //! - [`ThreadPool`], a fixed-size worker pool over `std::thread` with a
@@ -27,6 +27,11 @@
 //!   ([`BackoffPolicy`]), a per-class [`CircuitBreaker`] against retry
 //!   storms, and an optional final declared-degraded attempt. Every
 //!   attempt is journalled as an [`AttemptRecord`].
+//! - [`Journal`], the crash-safe run journal: per-job lifecycle state
+//!   (`pending → running → done | degraded | failed`) plus attempt
+//!   timelines, rewritten atomically on every transition. `repro
+//!   --resume`, the sweep runner and the `serve` daemon checkpoint
+//!   through it.
 //!
 //! # Worker-count resolution
 //!
@@ -67,6 +72,7 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 mod cache;
+mod journal;
 mod par_map;
 mod pool;
 mod supervisor;
@@ -74,6 +80,9 @@ mod supervisor;
 pub use cache::{
     clear_dir, evict_corrupt, scan_dir, stable_hash, CacheKey, CacheOutcome, EntryCondition,
     EntryReport, ResultCache, DEFAULT_CACHE_DIR,
+};
+pub use journal::{
+    ArtefactState, Journal, JournalCounts, JournalEntry, DEFAULT_JOURNAL_PATH, JOURNAL_SCHEMA,
 };
 pub use par_map::Engine;
 pub use pool::{JobHandle, ThreadPool};

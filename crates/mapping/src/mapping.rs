@@ -197,23 +197,15 @@ impl Mapping {
         let n = self.core_count;
         let mut temps = vec![platform.thermal().ambient(); n];
         let mut last_peak = f64::NEG_INFINITY;
-        // Successive iterations differ by small leakage corrections, so
-        // each solve is warm-started from the previous iteration's map
-        // (a no-op on the factored fast path, a near-exact seed on the
-        // iterative fallback).
-        let mut previous: Option<ThermalMap> = None;
         for _ in 0..50 {
             let power = self.power_map_at(platform, &temps);
-            let map = platform
-                .thermal()
-                .steady_state_seeded(&power, previous.as_ref())?;
+            let map = platform.thermal().steady_state(&power)?;
             let peak = map.peak().value();
             temps = map.die_temperatures().collect();
             if (peak - last_peak).abs() < 0.01 {
                 return Ok(map);
             }
             last_peak = peak;
-            previous = Some(map);
         }
         Err(MappingError::ThermalCoupling { iterations: 50 })
     }

@@ -151,20 +151,13 @@ pub fn optimize_pattern(
         is_active[c.index()] = true;
     }
 
-    // Each move only shifts one core's power, so successive solves are
-    // warm-started from the previous move's map (a no-op on the
-    // factored fast path, a near-exact seed on the iterative fallback).
-    let mut previous = None;
     for _ in 0..max_moves {
         let mut power = vec![Watts::zero(); n];
         for c in &active {
             power[c.index()] = per_core;
         }
-        let map = platform
-            .thermal()
-            .steady_state_seeded(&power, previous.as_ref())?;
+        let map = platform.thermal().steady_state(&power)?;
         let temps: Vec<f64> = map.die_temperatures().map(|t| t.value()).collect();
-        previous = Some(map);
 
         let Some((hot_pos, hot_core)) = active
             .iter()

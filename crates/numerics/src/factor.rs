@@ -19,8 +19,8 @@
 //!   same floorplan factor it exactly once per process.
 //! * [`solve_spd_cached`] is the drop-in robust entry point: factored
 //!   fast path with a residual check, falling back into the
-//!   CG → restarted-CG → dense-LU chain (optionally warm-started) when
-//!   the matrix cannot be factored or the factored solution drifts.
+//!   CG → restarted-CG → dense-LU chain when the matrix cannot be
+//!   factored or the factored solution drifts.
 //!
 //! Factorisation is deterministic, so results are byte-identical whether
 //! a factor is computed fresh or served from the cache, at any worker
@@ -718,8 +718,6 @@ pub fn factor_cache_stats() -> FactorCacheStats {
 /// check, falling back to the CG → restarted-CG → dense-LU chain when
 /// the matrix is not factorable or the factored solution drifts.
 ///
-/// Equivalent to [`solve_spd_cached_from`] without a warm-start seed.
-///
 /// # Errors
 ///
 /// Same as [`crate::solve_spd_robust`] — the factored path itself never
@@ -729,43 +727,23 @@ pub fn solve_spd_cached(
     b: &[f64],
     options: &CgOptions,
 ) -> Result<(Vec<f64>, SolveDiagnostics), NumericsError> {
-    solve_spd_cached_from(a, b, None, options)
-}
-
-/// [`solve_spd_cached`] with an optional warm-start seed for the
-/// fallback chain (e.g. the previous sweep point's or fixed-point
-/// iteration's solution). The seed is ignored by the factored path —
-/// a direct solve needs no starting point — and guarded on the CG path:
-/// a seed is only used when its residual improves on a cold start, so a
-/// warm-started solve never returns a worse residual than a cold one.
-///
-/// # Errors
-///
-/// Same as [`crate::solve_spd_robust`].
-pub fn solve_spd_cached_from(
-    a: &CsrMatrix,
-    b: &[f64],
-    seed: Option<&[f64]>,
-    options: &CgOptions,
-) -> Result<(Vec<f64>, SolveDiagnostics), NumericsError> {
     let factors = if b.len() == a.rows() {
         FactorCache::global().get_or_factor(a)
     } else {
         None
     };
-    solve_spd_factored(factors.as_deref(), a, b, seed, options)
+    solve_spd_factored(factors.as_deref(), a, b, options)
 }
 
 /// The factor-cached solve with caller-resolved factors — the hot-loop
-/// form of [`solve_spd_cached_from`] for callers that hold their own
+/// form of [`solve_spd_cached`] for callers that hold their own
 /// [`SpdFactors`] (e.g. a thermal model solving hundreds of loads on
 /// one matrix), skipping the per-solve digest and cache lookup.
 ///
 /// `factors` of `None` (matrix unfactorable or not resolved) goes
-/// straight to the CG → restarted-CG → dense-LU chain, warm-started
-/// from `seed` when one is supplied. Factored solutions are residual-
-/// checked against `options.tolerance`; on drift the chain takes over,
-/// seeded from the factored iterate.
+/// straight to the CG → restarted-CG → dense-LU chain. Factored
+/// solutions are residual-checked against `options.tolerance`; on drift
+/// the chain takes over, seeded from the factored iterate.
 ///
 /// # Errors
 ///
@@ -774,7 +752,6 @@ pub fn solve_spd_factored(
     factors: Option<&SpdFactors>,
     a: &CsrMatrix,
     b: &[f64],
-    seed: Option<&[f64]>,
     options: &CgOptions,
 ) -> Result<(Vec<f64>, SolveDiagnostics), NumericsError> {
     let _span = darksil_obs::span("numerics.solve_spd");
@@ -803,8 +780,7 @@ pub fn solve_spd_factored(
             drift_iterate = Some(x);
         }
     }
-    let chain_seed: Option<&[f64]> = drift_iterate.as_deref().or(seed);
-    let result = solve_chain_from(a, b, chain_seed, options);
+    let result = solve_chain_from(a, b, drift_iterate.as_deref(), options);
     if let Ok((_, diagnostics)) = &result {
         crate::robust::record_diagnostics(diagnostics);
     }

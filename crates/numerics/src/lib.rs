@@ -28,10 +28,10 @@
 //! [`solve_spd_robust`] runs Jacobi-preconditioned
 //! [`conjugate_gradient`], escalating to restarted CG and finally dense
 //! LU ([`DenseMatrix`], [`LuFactors`]) so callers always get a finite
-//! answer or a typed error. [`solve_spd_robust_from`] warm-starts the
-//! first CG attempt from a caller-supplied seed (e.g. the neighbouring
-//! sweep point's solution), guarded so a warm start never returns a
-//! worse residual than a cold one.
+//! answer or a typed error. The chain is also the factored path's
+//! drift recovery: a factored solution that fails its residual check
+//! seeds the first CG attempt (counted as `numerics.warm_start`),
+//! guarded so a seed never returns a worse residual than a cold start.
 //!
 //! Supporting kernels: [`CsrMatrix`] / [`TripletMatrix`] sparse
 //! storage, [`ode`] backward-Euler / RK4 steppers for
@@ -105,11 +105,11 @@ pub use cg::{
 pub use dense::{DenseMatrix, LuFactors};
 pub use error::NumericsError;
 pub use factor::{
-    factor_cache_stats, factor_spd, matrix_digest, solve_spd_cached, solve_spd_cached_from,
-    solve_spd_factored, FactorCache, FactorCacheStats, SpdFactors,
+    factor_cache_stats, factor_spd, matrix_digest, solve_spd_cached, solve_spd_factored,
+    FactorCache, FactorCacheStats, SpdFactors,
 };
 pub use lstsq::{fit_least_squares, polynomial_fit};
-pub use robust::{solve_spd_robust, solve_spd_robust_from, SolveDiagnostics, SolveStage};
+pub use robust::{solve_spd_robust, SolveDiagnostics, SolveStage};
 pub use sparse::{CsrMatrix, TripletMatrix};
 
 /// Euclidean norm of a vector.

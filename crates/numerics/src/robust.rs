@@ -71,30 +71,10 @@ pub fn solve_spd_robust(
     b: &[f64],
     options: &CgOptions,
 ) -> Result<(Vec<f64>, SolveDiagnostics), NumericsError> {
-    solve_spd_robust_from(a, b, None, options)
-}
-
-/// [`solve_spd_robust`] with an optional warm-start seed for the first
-/// CG attempt — typically the previous fixed-point iteration's or the
-/// neighbouring sweep point's solution.
-///
-/// The seed is guarded: it is only used when it is finite and its
-/// residual beats a cold (zero) start, so a warm-started solve never
-/// returns a worse residual than a cold one would.
-///
-/// # Errors
-///
-/// Same as [`solve_spd_robust`].
-pub fn solve_spd_robust_from(
-    a: &CsrMatrix,
-    b: &[f64],
-    seed: Option<&[f64]>,
-    options: &CgOptions,
-) -> Result<(Vec<f64>, SolveDiagnostics), NumericsError> {
     let _span = darksil_obs::span("numerics.solve_spd");
     #[allow(clippy::cast_precision_loss)]
     darksil_obs::observe("numerics.solve_rows", a.rows() as f64);
-    let result = solve_chain_from(a, b, seed, options);
+    let result = solve_chain_from(a, b, None, options);
     if let Ok((_, diag)) = &result {
         record_diagnostics(diag);
     }
@@ -125,6 +105,8 @@ pub(crate) fn record_diagnostics(diag: &SolveDiagnostics) {
     }
 }
 
+/// The fallback chain, optionally seeded — the factored path hands it
+/// a drifted factored iterate to recover from.
 pub(crate) fn solve_chain_from(
     a: &CsrMatrix,
     b: &[f64],
@@ -323,7 +305,7 @@ mod tests {
         let b = vec![1.0; 40];
         let (x, _) = solve_spd_robust(&a, &b, &CgOptions::default()).expect("cold solves");
         let (x2, diag) =
-            solve_spd_robust_from(&a, &b, Some(&x), &CgOptions::default()).expect("warm solves");
+            solve_chain_from(&a, &b, Some(&x), &CgOptions::default()).expect("warm solves");
         assert_eq!(diag.stage, SolveStage::Cg);
         assert!(
             diag.cg_iterations <= 1,
@@ -341,7 +323,7 @@ mod tests {
         // A wildly wrong seed (worse than a zero start) and a NaN seed
         // must both be ignored rather than poisoning the solve.
         for seed in [vec![1.0e9; 20], vec![f64::NAN; 20], vec![0.0; 5]] {
-            let (x, _) = solve_spd_robust_from(&a, &b, Some(&seed), &CgOptions::default())
+            let (x, _) = solve_chain_from(&a, &b, Some(&seed), &CgOptions::default())
                 .expect("solves despite bad seed");
             let r = a.mul_vec(&x);
             assert!((r[10] - 1.0).abs() < 1e-6);

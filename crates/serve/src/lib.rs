@@ -54,7 +54,7 @@
 //! | `POST /v1/drain`            | Graceful drain (SIGTERM equivalent)        |
 //!
 //! [`CancellationToken`]: darksil_robust::CancellationToken
-//! [`Journal`]: darksil_bench::Journal
+//! [`Journal`]: darksil_engine::Journal
 //! [`ResultCache`]: darksil_engine::ResultCache
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]

@@ -41,7 +41,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use darksil_bench::{ArtefactState, Journal};
+use darksil_engine::{ArtefactState, Journal};
 use darksil_engine::{BackoffPolicy, JobSpec, ResultCache, Supervisor, ThreadPool};
 use darksil_json::{FromJson, Json, ObjReader, ToJson};
 use darksil_obs::{EventRecord, EventStream};

@@ -398,7 +398,7 @@ fn restart_resumes_journalled_unfinished_jobs() {
         ("schema".to_string(), Json::Num(1.0)),
     ]);
     let journal =
-        darksil_bench::Journal::create(scratch.path().join("journal.json"), fingerprint, &[]);
+        darksil_engine::Journal::create(scratch.path().join("journal.json"), fingerprint, &[]);
     journal.ensure(digest).expect("journal the fabricated job");
     let spool = format!(
         r#"{{"schema": "{}", "digest": "{digest}", "tenants": ["acme"],

@@ -14,7 +14,7 @@
 use std::path::PathBuf;
 use std::time::Duration;
 
-use darksil_bench::journal::{ArtefactState, Journal};
+use darksil_engine::{ArtefactState, Journal};
 use darksil_engine::{
     BackoffPolicy, CacheOutcome, Engine, JobSpec, ResultCache, Supervisor, DEFAULT_CACHE_DIR,
 };

@@ -4,7 +4,7 @@ use darksil_floorplan::Floorplan;
 use std::sync::Arc;
 
 use darksil_numerics::{
-    solve_spd_factored, CgOptions, CsrMatrix, FactorCache, LuFactors, SolveDiagnostics, SpdFactors,
+    solve_spd_factored, CgOptions, CsrMatrix, FactorCache, SolveDiagnostics, SpdFactors,
     TripletMatrix,
 };
 use darksil_units::{Celsius, Watts};
@@ -381,25 +381,6 @@ impl ThermalModel {
             .map(|(map, _)| map)
     }
 
-    /// Like [`ThermalModel::steady_state`] but seeds any iterative
-    /// fallback solve from a previous solution's node states — the warm
-    /// start used by fixed-point loops (leakage↔temperature) and
-    /// placement optimisers where successive power maps differ little.
-    /// The factored fast path needs no seed; when the solve does fall
-    /// back to CG, the seed is guarded so a warm start never produces a
-    /// worse residual than a cold one.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`ThermalModel::steady_state`].
-    pub fn steady_state_seeded(
-        &self,
-        power: &[Watts],
-        seed: Option<&ThermalMap>,
-    ) -> Result<ThermalMap, ThermalError> {
-        self.steady_state_inner(power, seed).map(|(map, _)| map)
-    }
-
     /// Like [`ThermalModel::steady_state`] but also reports which solver
     /// stage produced the answer and how much work it took.
     ///
@@ -410,28 +391,12 @@ impl ThermalModel {
         &self,
         power: &[Watts],
     ) -> Result<(ThermalMap, SolveDiagnostics), ThermalError> {
-        self.steady_state_inner(power, None)
-    }
-
-    fn steady_state_inner(
-        &self,
-        power: &[Watts],
-        seed: Option<&ThermalMap>,
-    ) -> Result<(ThermalMap, SolveDiagnostics), ThermalError> {
         let _span = darksil_obs::span("thermal.steady_state");
         #[allow(clippy::cast_precision_loss)]
         darksil_obs::observe("thermal.solve_nodes", self.node_count() as f64);
         let rhs = self.rhs(power)?;
-        let seed_state: Option<&[f64]> = seed
-            .map(ThermalMap::state)
-            .filter(|s| s.len() == self.node_count());
-        let (state, diagnostics) = solve_spd_factored(
-            self.factors.as_deref(),
-            &self.g,
-            &rhs,
-            seed_state,
-            &self.cg_options(),
-        )?;
+        let (state, diagnostics) =
+            solve_spd_factored(self.factors.as_deref(), &self.g, &rhs, &self.cg_options())?;
         let map = self.map_from_state(state);
         if darksil_obs::events_enabled() {
             let peak = map.peak().value();
@@ -458,44 +423,6 @@ impl ThermalModel {
         } else {
             CgOptions::default()
         }
-    }
-
-    /// Pre-factors the conductance matrix (dense LU) for repeated
-    /// steady-state solves — worthwhile for parameter sweeps like the
-    /// Figure 5/6 frequency scans.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ThermalError::Solver`] if factorisation fails.
-    pub fn prefactored(&self) -> Result<SteadySolver<'_>, ThermalError> {
-        let lu = self.g.to_dense().lu()?;
-        Ok(SteadySolver { model: self, lu })
-    }
-}
-
-/// A pre-factored steady-state solver borrowed from a [`ThermalModel`].
-///
-/// Produced by [`ThermalModel::prefactored`]; each
-/// [`SteadySolver::solve`] is a forward/backward substitution rather
-/// than a fresh iterative solve.
-#[derive(Debug)]
-pub struct SteadySolver<'a> {
-    model: &'a ThermalModel,
-    lu: LuFactors,
-}
-
-impl SteadySolver<'_> {
-    /// Solves the steady state for one power map.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ThermalError::PowerMapMismatch`] for wrong-length maps
-    /// and [`ThermalError::Solver`] on substitution failure.
-    pub fn solve(&self, power: &[Watts]) -> Result<ThermalMap, ThermalError> {
-        let _span = darksil_obs::span("thermal.steady_lu");
-        let rhs = self.model.rhs(power)?;
-        let state = self.lu.solve(&rhs)?;
-        Ok(self.model.map_from_state(state))
     }
 }
 
@@ -618,23 +545,6 @@ mod tests {
             peak.value() > 74.0 && peak.value() < 92.0,
             "fig-8 contiguous peak = {peak}"
         );
-    }
-
-    #[test]
-    fn prefactored_matches_cg() {
-        let m = model();
-        let power: Vec<Watts> = (0..100).map(|i| Watts::new((i % 5) as f64)).collect();
-        let cg = m.steady_state(&power).expect("solve succeeds");
-        let solver = m.prefactored().expect("solve succeeds");
-        let lu = solver.solve(&power).expect("solve succeeds");
-        for core in plan().cores() {
-            assert!(
-                (cg.core(core) - lu.core(core)).abs() < 1e-5,
-                "{core}: cg {} vs lu {}",
-                cg.core(core),
-                lu.core(core)
-            );
-        }
     }
 
     #[test]

@@ -91,9 +91,12 @@ impl TransientSim {
     /// `thermal.watermark` events (and per-core samples carry the
     /// threshold so time-above-threshold can be derived). Controllers
     /// set this to their DTM threshold; it has no effect on the
-    /// simulation itself.
+    /// simulation itself. Setting it restarts crossing detection, so a
+    /// run that arms it on a warm chip reports `above` on its first
+    /// step if the peak already is.
     pub fn set_watermark(&mut self, threshold: Celsius) {
         self.watermark = Some(threshold.value());
+        self.prev_peak = None;
     }
 
     /// The configured watermark threshold, if any.

@@ -66,6 +66,78 @@ fn shipped_scenarios_pass_the_invariant_suite() {
     }
 }
 
+/// Per-instance and phased policy runs are visible to the oracle: each
+/// run, and each phase of a phased run, opens a `boost.run` segment and
+/// closes it with `boost.summary`, and the recorded stream verifies
+/// clean.
+#[test]
+fn per_instance_and_phased_runs_are_verified_segments() {
+    use darksil_boost::{run_per_instance_boosting, run_phased_boosting, Phase, PolicyConfig};
+    use darksil_mapping::{place_patterned, Mapping, Platform};
+    use darksil_units::{Celsius, Hertz, Seconds};
+    use darksil_workload::{AppInstance, ParsecApp, Workload};
+
+    let _guard = recorder_lock();
+    let platform = Platform::with_core_count(darksil_power::TechnologyNode::Nm16, 16)
+        .unwrap()
+        .with_boost_levels(Hertz::from_ghz(4.4))
+        .unwrap();
+    let place = |w: &Workload| -> Mapping {
+        place_patterned(platform.floorplan(), w, platform.max_level()).unwrap()
+    };
+    let mut mixed = Workload::new();
+    mixed.push(AppInstance::new(ParsecApp::Swaptions, 6).unwrap());
+    mixed.push(AppInstance::new(ParsecApp::Canneal, 6).unwrap());
+    let heavy = place(&Workload::uniform(ParsecApp::Swaptions, 3, 4).unwrap());
+    let light = place(&Workload::uniform(ParsecApp::Canneal, 1, 4).unwrap());
+    let phases = [
+        Phase {
+            mapping: heavy.clone(),
+            duration: Seconds::new(20.0),
+        },
+        Phase {
+            mapping: light,
+            duration: Seconds::new(6.0),
+        },
+        Phase {
+            mapping: heavy,
+            duration: Seconds::new(8.0),
+        },
+    ];
+    let config = PolicyConfig {
+        threshold: Celsius::new(60.0),
+        period: Seconds::new(0.02),
+        ..PolicyConfig::default()
+    };
+
+    darksil_obs::enable_events();
+    let per = run_per_instance_boosting(&platform, &place(&mixed), Seconds::new(30.0), &config);
+    let phased = run_phased_boosting(&platform, &phases, &config);
+    let (_trace, stream) = darksil_obs::drain_all();
+    per.unwrap();
+    phased.unwrap();
+
+    let markers: Vec<(&str, &str)> = stream
+        .events
+        .iter()
+        .filter(|e| e.kind == "boost.run" || e.kind == "boost.summary")
+        .map(|e| (e.kind.as_str(), e.str_field("policy").unwrap_or("?")))
+        .collect();
+    let mut expected = vec![
+        ("boost.run", "per_instance"),
+        ("boost.summary", "per_instance"),
+    ];
+    for _ in &phases {
+        expected.extend([("boost.run", "boosting"), ("boost.summary", "boosting")]);
+    }
+    assert_eq!(markers, expected);
+    assert!(
+        stream.of_kind("thermal.watermark").next().is_some(),
+        "the runs never armed the watermark"
+    );
+    assert_eq!(Oracle::default().verify(&stream), Vec::new());
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
