@@ -105,11 +105,15 @@ struct Segment {
     pending_crossing: Option<(bool, Vec<u64>)>,
     /// Σ `power_w · Δt` over the segment's `thermal.step` events.
     energy_j: f64,
-    last_step_t: f64,
+    /// Start of the next step's period: the segment's first step covers
+    /// the period before its `t_s` (a later phase of a phased run does
+    /// not start at zero); streams without `period_s` start at zero.
+    last_step_t: Option<f64>,
+    period_s: Option<f64>,
 }
 
 impl Segment {
-    fn new(policy: String, threshold_c: Option<f64>) -> Self {
+    fn new(policy: String, threshold_c: Option<f64>, period_s: Option<f64>) -> Self {
         Self {
             policy,
             threshold_c,
@@ -117,7 +121,8 @@ impl Segment {
             above: false,
             pending_crossing: None,
             energy_j: 0.0,
-            last_step_t: 0.0,
+            last_step_t: None,
+            period_s,
         }
     }
 }
@@ -185,7 +190,11 @@ impl Oracle {
             match event.kind.as_str() {
                 "boost.run" => {
                     let policy = event.str_field("policy").unwrap_or("?").to_string();
-                    segment = Some(Segment::new(policy, event.f64_field("threshold_c")));
+                    segment = Some(Segment::new(
+                        policy,
+                        event.f64_field("threshold_c"),
+                        event.f64_field("period_s"),
+                    ));
                 }
                 "boost.summary" => {
                     if let Some(seg) = segment.take() {
@@ -296,8 +305,11 @@ impl Oracle {
                 }
             }
             if let Some(power) = event.f64_field("power_w") {
-                seg.energy_j += power * (t - seg.last_step_t);
-                seg.last_step_t = t;
+                let start = seg
+                    .last_step_t
+                    .unwrap_or_else(|| seg.period_s.map_or(0.0, |p| t - p));
+                seg.energy_j += power * (t - start);
+                seg.last_step_t = Some(t);
             }
             seg.last_t = Some(t);
         }
@@ -711,6 +723,34 @@ mod tests {
             ),
         ]);
         assert!(Oracle::default().verify(&good).is_empty());
+    }
+
+    #[test]
+    fn a_segment_starting_mid_clock_integrates_from_its_first_period() {
+        // A later phase of a phased run: the clock is already at 20 s.
+        let s = stream(vec![
+            ev(
+                vec![0],
+                "boost.run",
+                vec![("policy", "boosting".into()), ("period_s", 0.02.into())],
+            ),
+            ev(
+                vec![1],
+                "thermal.step",
+                vec![("t_s", 20.02.into()), ("power_w", 10.0.into())],
+            ),
+            ev(
+                vec![2],
+                "thermal.step",
+                vec![("t_s", 20.04.into()), ("power_w", 10.0.into())],
+            ),
+            ev(
+                vec![3],
+                "boost.summary",
+                vec![("policy", "boosting".into()), ("energy_j", 0.4.into())],
+            ),
+        ]);
+        assert_eq!(Oracle::default().verify(&s), Vec::new());
     }
 
     #[test]

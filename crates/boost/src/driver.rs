@@ -102,6 +102,7 @@ impl<'a> Driver<'a> {
         controller: &mut C,
     ) -> Result<PolicyTrace, BoostError> {
         emit_run_start(C::POLICY, self.config);
+        let start = self.sim.elapsed();
         self.sim.set_watermark(self.config.threshold);
         let platform = self.platform;
         let dvfs = platform.dvfs();
@@ -135,7 +136,7 @@ impl<'a> Driver<'a> {
             temps.clear();
             temps.extend(map.die_temperatures());
         }
-        emit_run_summary(C::POLICY, &trace);
+        emit_run_summary(C::POLICY, &trace, start);
         Ok(trace)
     }
 }
@@ -163,12 +164,12 @@ fn emit_run_start(policy: &'static str, config: &PolicyConfig) {
 
 /// Emits the `boost.summary` segment-closing marker with the totals the
 /// energy-conservation invariant cross-checks against the integrated
-/// `thermal.step` power samples.
-fn emit_run_summary(policy: &'static str, trace: &PolicyTrace) {
+/// `thermal.step` power samples of the run that began at `start`.
+fn emit_run_summary(policy: &'static str, trace: &PolicyTrace, start: Seconds) {
     if !darksil_obs::events_enabled() {
         return;
     }
-    let energy_j = trace.total_energy().value();
+    let energy_j = trace.energy_since(start).value();
     let peak_w = trace.peak_power().value();
     let peak_c = trace.peak_temperature().value();
     let samples = trace.len() as u64;

@@ -129,11 +129,20 @@ impl PolicyTrace {
             .fold(Celsius::new(f64::INFINITY), Celsius::min)
     }
 
-    /// Total energy consumed over the run (Σ P·Δt).
+    /// Total energy consumed over the run (Σ P·Δt), integrated from
+    /// t = 0. A later phase of [`crate::run_phased_boosting`] starts
+    /// mid-clock, so this charges its first sample from zero; that
+    /// phase's `boost.summary` carries the energy of its own steps.
     #[must_use]
     pub fn total_energy(&self) -> Joules {
+        self.energy_since(Seconds::zero())
+    }
+
+    /// Σ P·Δt for a trace whose first sample ends a period that began at
+    /// `start` — a later phase of a phased run does not start at zero.
+    pub(crate) fn energy_since(&self, start: Seconds) -> Joules {
         let mut energy = Joules::zero();
-        let mut last_t = Seconds::zero();
+        let mut last_t = start;
         for s in &self.samples {
             let dt = s.time - last_t;
             energy += s.power * dt;

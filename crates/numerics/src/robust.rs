@@ -228,6 +228,7 @@ fn check_finite_inputs(a: &CsrMatrix, b: &[f64]) -> Result<(), NumericsError> {
 mod tests {
     use super::*;
     use crate::TripletMatrix;
+    use proptest::prelude::*;
 
     fn laplacian(n: usize) -> CsrMatrix {
         let mut t = TripletMatrix::new(n, n);
@@ -327,6 +328,70 @@ mod tests {
                 .expect("solves despite bad seed");
             let r = a.mul_vec(&x);
             assert!((r[10] - 1.0).abs() < 1e-6);
+        }
+    }
+
+    /// A random grounded RC grid: `w × h` nodes, nearest-neighbour
+    /// conductances and a conductance to ground at every node (SPD).
+    fn random_rc_grid(w: usize, h: usize, edges: &[f64], grounds: &[f64]) -> CsrMatrix {
+        let n = w * h;
+        let mut t = TripletMatrix::new(n, n);
+        let mut k = 0;
+        for y in 0..h {
+            for x in 0..w {
+                let i = y * w + x;
+                if x + 1 < w {
+                    t.stamp_conductance(i, i + 1, edges[k % edges.len()]);
+                    k += 1;
+                }
+                if y + 1 < h {
+                    t.stamp_conductance(i, i + w, edges[k % edges.len()]);
+                    k += 1;
+                }
+                t.stamp_to_reference(i, grounds[i % grounds.len()]);
+            }
+        }
+        t.to_csr()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// A seeded (drift-recovery) solve never returns a worse residual
+        /// than the cold one (up to the convergence target both are
+        /// allowed to stop at) — whatever seed is offered, including
+        /// terrible ones — and never needs more than one extra iteration.
+        #[test]
+        fn seeded_chain_never_worse_than_cold(
+            w in 2_usize..6,
+            h in 2_usize..6,
+            edges in prop::collection::vec(0.1_f64..10.0, 8),
+            grounds in prop::collection::vec(0.05_f64..2.0, 8),
+            loads in prop::collection::vec(-10.0_f64..10.0, 8),
+            seed_scale in -2.0_f64..2.0,
+            decades in 0_i32..10,
+        ) {
+            let a = random_rc_grid(w, h, &edges, &grounds);
+            let n = w * h;
+            let b: Vec<f64> = (0..n).map(|i| loads[i % loads.len()]).collect();
+            let options = CgOptions::default();
+
+            let (x_cold, cold) = solve_chain_from(&a, &b, None, &options).expect("cold solves");
+            // Seed anywhere between "nearly exact" and garbage up to
+            // 10⁹ times the solution's scale.
+            let scale = seed_scale * 10_f64.powi(decades);
+            let seed: Vec<f64> = x_cold.iter().map(|v| v * scale).collect();
+            let (_, warm) =
+                solve_chain_from(&a, &b, Some(&seed), &options).expect("seeded solves");
+
+            let target = options.tolerance * (1.0 + norm2(&b));
+            prop_assert!(
+                warm.residual <= cold.residual.max(target) * (1.0 + 1e-9),
+                "seeded residual {} exceeds cold {} (target {target})",
+                warm.residual,
+                cold.residual
+            );
+            prop_assert!(warm.cg_iterations <= cold.cg_iterations + 1);
         }
     }
 

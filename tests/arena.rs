@@ -115,7 +115,7 @@ fn per_instance_and_phased_runs_are_verified_segments() {
     let phased = run_phased_boosting(&platform, &phases, &config);
     let (_trace, stream) = darksil_obs::drain_all();
     per.unwrap();
-    phased.unwrap();
+    let phase_traces = phased.unwrap();
 
     let markers: Vec<(&str, &str)> = stream
         .events
@@ -136,6 +136,26 @@ fn per_instance_and_phased_runs_are_verified_segments() {
         "the runs never armed the watermark"
     );
     assert_eq!(Oracle::default().verify(&stream), Vec::new());
+
+    // Each phase's summary charges only its own steps, one period each,
+    // although the later phases start tens of seconds into the clock.
+    let declared: Vec<f64> = stream
+        .of_kind("boost.summary")
+        .skip(1)
+        .map(|e| e.f64_field("energy_j").unwrap())
+        .collect();
+    assert_eq!(declared.len(), phase_traces.len());
+    for (i, (trace, declared)) in phase_traces.iter().zip(declared).enumerate() {
+        let stepped: f64 = trace
+            .samples()
+            .iter()
+            .map(|s| s.power.value() * config.period.value())
+            .sum();
+        assert!(
+            (declared - stepped).abs() <= 1e-9 * stepped,
+            "phase {i}: summary declares {declared} J, its steps ran {stepped} J"
+        );
+    }
 }
 
 proptest! {
