@@ -12,6 +12,7 @@
 use crate::gen::{generate_cases, ArenaCase};
 use crate::oracle::Oracle;
 use crate::runner::{run_cases, CaseOutcome};
+use darksil_obs::svg::{esc, html_page};
 use darksil_scenario::ExperimentSpec;
 
 /// Schema tag on the leaderboard JSON artefact.
@@ -251,20 +252,30 @@ pub fn run_tournament(seed: u64, cases: usize, jobs: usize, oracle: &Oracle) -> 
     }
 }
 
-/// Renders the leaderboard as one self-contained HTML page — inline
-/// styles, no scripts, byte-deterministic — for the nightly artefact.
+/// Renders the leaderboard as one self-contained HTML page — the
+/// shared report shell, no scripts, byte-deterministic — for the
+/// nightly artefact.
 #[must_use]
 pub fn leaderboard_html(board: &Leaderboard) -> String {
-    let mut rows = String::new();
+    let mut body = format!(
+        "<h1>darksil policy tournament</h1>\n\
+         <p class=\"subtitle\">seed {} · {} cases · 2/1/0 points per case, \
+         thermal violations disqualify</p>\n\
+         <table>\n<tr><th class=\"num\">#</th><th>policy</th><th class=\"num\">points</th>\
+         <th class=\"num\">wins</th><th class=\"num\">DQ</th><th class=\"num\">mean GIPS</th>\
+         <th class=\"num\">mean peak °C</th><th class=\"num\">throttle</th></tr>\n",
+        board.seed, board.cases,
+    );
     for (rank, s) in board.scores.iter().enumerate() {
         let residency = s
             .mean_throttle_residency
             .map_or_else(|| "—".to_string(), |r| format!("{:.1}%", r * 100.0));
-        rows.push_str(&format!(
-            "<tr><td>{}</td><td>{}</td><td>{}</td><td>{}</td><td>{}</td>\
-             <td>{:.2}</td><td>{:.2}</td><td>{}</td></tr>\n",
+        body.push_str(&format!(
+            "<tr><td class=\"num\">{}</td><td>{}</td><td class=\"num\">{}</td>\
+             <td class=\"num\">{}</td><td class=\"num\">{}</td><td class=\"num\">{:.2}</td>\
+             <td class=\"num\">{:.2}</td><td class=\"num\">{}</td></tr>\n",
             rank + 1,
-            s.policy,
+            esc(&s.policy),
             s.points,
             s.wins,
             s.disqualified,
@@ -273,27 +284,8 @@ pub fn leaderboard_html(board: &Leaderboard) -> String {
             residency,
         ));
     }
-    format!(
-        "<!DOCTYPE html>\n<html lang=\"en\">\n<head>\n<meta charset=\"utf-8\">\n\
-         <title>darksil tournament — seed {seed}</title>\n\
-         <style>\n\
-         body{{font-family:system-ui,sans-serif;margin:2rem;color:#1a1a2e}}\n\
-         table{{border-collapse:collapse;min-width:40rem}}\n\
-         th,td{{border:1px solid #c8c8d8;padding:.4rem .8rem;text-align:right}}\n\
-         th{{background:#eef;text-align:right}}\n\
-         td:nth-child(2),th:nth-child(2){{text-align:left}}\n\
-         tr:first-child td{{font-weight:bold}}\n\
-         </style>\n</head>\n<body>\n\
-         <h1>darksil policy tournament</h1>\n\
-         <p>seed {seed} · {cases} cases · 2/1/0 points per case, \
-         thermal violations disqualify</p>\n\
-         <table>\n<tr><th>#</th><th>policy</th><th>points</th><th>wins</th>\
-         <th>DQ</th><th>mean GIPS</th><th>mean peak °C</th><th>throttle</th></tr>\n\
-         {rows}</table>\n</body>\n</html>\n",
-        seed = board.seed,
-        cases = board.cases,
-        rows = rows,
-    )
+    body.push_str("</table>\n");
+    html_page(&format!("darksil tournament — seed {}", board.seed), &body)
 }
 
 #[cfg(test)]
@@ -378,8 +370,10 @@ mod tests {
         let back: Leaderboard = darksil_json::from_str(&text).expect("parses");
         assert_eq!(back, board);
         let html = leaderboard_html(&board);
-        assert!(html.contains("<!DOCTYPE html>"));
-        assert!(html.contains("dsrem"));
+        assert!(html.starts_with("<!DOCTYPE html>"));
+        assert!(html.contains("<title>darksil tournament — seed 9</title>"));
+        assert_eq!(html.matches("<tr>").count(), 2, "header + one policy row");
+        assert!(html.contains("<td>dsrem</td>"));
         assert!(html.contains("25.0%"));
         assert!(!html.contains("<script"));
     }

@@ -19,9 +19,8 @@
 //! overridable with `--deadline`) observed cooperatively at CG-iteration
 //! and policy-step boundaries; retryable failures re-run with seeded
 //! jittered exponential backoff under a per-class circuit breaker; and
-//! thermal artefacts that exhaust their retries re-run once in declared
-//! degraded mode (relaxed CG tolerance), tagging the artefact JSON with
-//! `"degraded": true` instead of leaving a hole in the figure set.
+//! an artefact that exhausts its retries fails with its last error's
+//! class while the rest of the run carries on.
 //!
 //! Progress is journalled per artefact to `results/run_journal.json`
 //! (atomic temp-file + rename on every transition), so a killed run can
@@ -34,8 +33,7 @@
 //! Artefact payloads are memoised in a content-addressed cache keyed by
 //! the scenario inputs (fidelity) plus a code-version salt; a warm run
 //! replays the stored JSON instead of recomputing. Corrupt or stale
-//! entries fall back to recomputation with a typed diagnostic. Degraded
-//! payloads are never cached.
+//! entries fall back to recomputation with a typed diagnostic.
 //!
 //! `--profile` turns on `darksil-obs` tracing for the run: per-artefact
 //! spans (with engine/numerics/thermal child spans) land in
@@ -94,7 +92,7 @@ const USAGE: &str = "usage: repro <table1|fig2..fig14|dtm|aging|variability|cool
   --retries N        retries per artefact after the first attempt
                      (default 2; only retryable error classes re-run)
   --resume           continue an interrupted run: artefacts the journal
-                     records as done/degraded are skipped, interrupted
+                     records as done are skipped, interrupted
                      and failed ones are re-queued. The selection,
                      fidelity and injection flags must match the
                      journalled run.
@@ -113,8 +111,7 @@ const USAGE: &str = "usage: repro <table1|fig2..fig14|dtm|aging|variability|cool
                      The stream is byte-identical at any --jobs setting
 
 exit codes:
-  0  every artefact completed; a warning is printed on stderr when any
-     finished in declared degraded mode
+  0  every artefact completed
   1  at least one artefact failed (or a report could not be written)
   2  usage error (bad flags, unknown artefact, or --resume with a
      missing or mismatched journal)";
@@ -225,9 +222,6 @@ struct ArtefactOutcome {
     name: &'static str,
     /// `ok`, `error` or `panic`.
     status: &'static str,
-    /// Whether an `ok` outcome came from the declared-degraded
-    /// fallback.
-    degraded: bool,
     /// The classified error for non-`ok` outcomes.
     error: Option<DarksilError>,
     /// Wall-clock seconds spent (across all attempts).
@@ -249,7 +243,6 @@ impl ToJson for ArtefactOutcome {
         let mut fields = vec![
             ("artefact".to_string(), Json::Str(self.name.to_string())),
             ("status".to_string(), Json::Str(self.status.to_string())),
-            ("degraded".to_string(), Json::Bool(self.degraded)),
             ("seconds".to_string(), Json::Num(self.seconds)),
         ];
         if let Some(e) = &self.error {
@@ -458,7 +451,6 @@ fn main() -> ExitCode {
             outcome: ArtefactOutcome {
                 name,
                 status: "panic",
-                degraded: false,
                 error: Some(e.context(name)),
                 seconds: 0.0,
                 cache: "off",
@@ -479,8 +471,7 @@ fn main() -> ExitCode {
     }
 
     let failed = outcomes.iter().filter(|o| !o.succeeded()).count();
-    let degraded = outcomes.iter().filter(|o| o.degraded).count();
-    if let Err(e) = write_error_report(&options, &outcomes, failed, degraded) {
+    if let Err(e) = write_error_report(&options, &outcomes, failed) {
         eprintln!("cannot write error report: {e}");
         return ExitCode::FAILURE;
     }
@@ -517,13 +508,6 @@ fn main() -> ExitCode {
         eprintln!("repro {}: {} — {detail}", o.name, o.status);
     }
     if failed == 0 {
-        if degraded > 0 {
-            eprintln!(
-                "repro: warning — {degraded} of {} artefacts completed in degraded \
-                 mode (tagged \"degraded\": true in their JSON)",
-                outcomes.len()
-            );
-        }
         ExitCode::SUCCESS
     } else {
         eprintln!(
@@ -577,22 +561,6 @@ fn cache_inputs(options: &Options) -> Json {
     )])
 }
 
-/// Wraps a degraded artefact payload with the declared accuracy knobs,
-/// so downstream consumers can quantify (or reject) the loss.
-fn degraded_envelope(payload: Json) -> Json {
-    Json::Obj(vec![
-        ("degraded".to_string(), Json::Bool(true)),
-        (
-            "knobs".to_string(),
-            Json::Obj(vec![(
-                "cg_tolerance".to_string(),
-                Json::Num(darksil_thermal::DEGRADED_CG_TOLERANCE),
-            )]),
-        ),
-        ("payload".to_string(), payload),
-    ])
-}
-
 /// A resumed artefact's synthesized outcome: the journal already
 /// records its completion, its JSON file is already on disk.
 fn resumed_run(name: &'static str, entry: &JournalEntry) -> ArtefactRun {
@@ -600,7 +568,6 @@ fn resumed_run(name: &'static str, entry: &JournalEntry) -> ArtefactRun {
         outcome: ArtefactOutcome {
             name,
             status: "ok",
-            degraded: entry.state == ArtefactState::Degraded,
             error: None,
             seconds: entry.seconds,
             cache: "resume",
@@ -611,8 +578,7 @@ fn resumed_run(name: &'static str, entry: &JournalEntry) -> ArtefactRun {
 }
 
 /// Runs one artefact under full supervision: a cache consult first,
-/// then deadline-bounded attempts with retry/backoff and (for solver
-/// classes) a final declared-degraded attempt. Errors are classified
+/// then deadline-bounded attempts with retry/backoff. Errors are classified
 /// into the workspace taxonomy and panics are caught, so one broken
 /// figure can never take the others down. Every lifecycle transition is
 /// journalled; the artefact JSON is written *before* the journal marks
@@ -627,10 +593,7 @@ fn run_artefact(
 ) -> ArtefactRun {
     let _span = darksil_obs::span_lazy(|| format!("artefact.{name}"));
     // --resume: completed artefacts are skipped outright.
-    if journal
-        .state_of(name)
-        .is_some_and(ArtefactState::is_complete)
-    {
+    if journal.state_of(name) == Some(ArtefactState::Done) {
         if let Some(entry) = journal.entries().into_iter().find(|e| e.name == name) {
             return resumed_run(name, &entry);
         }
@@ -664,7 +627,6 @@ fn run_artefact(
                         outcome: ArtefactOutcome {
                             name,
                             status: "ok",
-                            degraded: false,
                             error: None,
                             seconds,
                             cache: "hit",
@@ -685,7 +647,6 @@ fn run_artefact(
                         outcome: ArtefactOutcome {
                             name,
                             status: "error",
-                            degraded: false,
                             error: Some(error),
                             seconds,
                             cache: "hit",
@@ -711,9 +672,6 @@ fn run_artefact(
                 .unwrap_or_else(|| default_deadline(class)),
         ),
         max_retries: options.retries,
-        // Only solver-backed classes have a declared relaxation to
-        // fall back to; the closed-form `fast` artefacts do not.
-        degrade_on_exhaustion: class != "fast",
     };
     let supervised: Supervised<(Json, String)> = supervisor.run(&spec, || {
         let mut text = String::new();
@@ -742,18 +700,9 @@ fn run_artefact(
 
     match supervised.result {
         Ok((payload, mut text)) => {
-            let payload = if supervised.degraded {
-                degraded_envelope(payload)
-            } else {
-                payload
-            };
-            // Degraded payloads are never cached: a later run at full
-            // health must recompute, not replay the relaxed answer.
-            if !supervised.degraded {
-                if let Some(cache) = cache {
-                    if let Err(e) = cache.store(&cache.key(name, &inputs), &payload) {
-                        recovery = Some(e);
-                    }
+            if let Some(cache) = cache {
+                if let Err(e) = cache.store(&cache.key(name, &inputs), &payload) {
+                    recovery = Some(e);
                 }
             }
             let label = match &recovery {
@@ -765,14 +714,9 @@ fn run_artefact(
             };
             match persist_payload(options, name, &payload, &mut text) {
                 Ok(()) => {
-                    let state = if supervised.degraded {
-                        ArtefactState::Degraded
-                    } else {
-                        ArtefactState::Done
-                    };
                     journal_note(journal.record_finished(
                         name,
-                        state,
+                        ArtefactState::Done,
                         None,
                         attempts.clone(),
                         seconds,
@@ -781,7 +725,6 @@ fn run_artefact(
                         outcome: ArtefactOutcome {
                             name,
                             status: "ok",
-                            degraded: supervised.degraded,
                             error: None,
                             seconds,
                             cache: label,
@@ -802,7 +745,6 @@ fn run_artefact(
                         outcome: ArtefactOutcome {
                             name,
                             status: "error",
-                            degraded: false,
                             error: Some(error),
                             seconds,
                             cache: label,
@@ -830,7 +772,6 @@ fn run_artefact(
                 outcome: ArtefactOutcome {
                     name,
                     status,
-                    degraded: false,
                     error: Some(error),
                     seconds,
                     cache: miss_label,
@@ -908,8 +849,8 @@ fn classify(e: &(dyn std::error::Error + 'static)) -> DarksilError {
 /// Applies the requested `--inject` fault at the top of an attempt.
 /// `nan` feeds a NaN power sample into the real thermal solver; the
 /// other kinds route through [`FaultPlan::inject_job_faults`], which
-/// observes the supervision context (deadline token, attempt number,
-/// degraded flag).
+/// observes the supervision context (deadline token and attempt
+/// number).
 fn apply_injection(inject: &Inject, what: &str) -> Result<(), Box<dyn std::error::Error>> {
     let fault = match inject.kind {
         InjectKind::Nan => return injected_failure(),
@@ -951,12 +892,10 @@ fn write_error_report(
     options: &Options,
     outcomes: &[ArtefactOutcome],
     failed: usize,
-    degraded: usize,
 ) -> Result<(), Box<dyn std::error::Error>> {
     let report = Json::Obj(vec![
         ("artefacts".to_string(), Json::Num(outcomes.len() as f64)),
         ("failed".to_string(), Json::Num(failed as f64)),
-        ("degraded".to_string(), Json::Num(degraded as f64)),
         (
             "outcomes".to_string(),
             Json::Arr(outcomes.iter().map(ToJson::to_json).collect()),

@@ -2,12 +2,11 @@
 //! sweep runner and the `serve` daemon.
 //!
 //! `repro` records every artefact's lifecycle
-//! (`pending → running → done | degraded | failed`) in a single JSON
-//! journal, written atomically (temp file + rename) on every
-//! transition. A run that is killed mid-flight — including `SIGKILL`,
-//! which allows no cleanup — therefore leaves a journal in which
-//! completed artefacts are `done`/`degraded` and interrupted ones are
-//! still `running`. `repro --resume` reloads it, skips the completed
+//! (`pending → running → done | failed`) in a single JSON journal,
+//! written atomically (temp file + rename) on every transition. A run
+//! that is killed mid-flight — including `SIGKILL`, which allows no
+//! cleanup — therefore leaves a journal in which completed artefacts
+//! are `done` and interrupted ones are still `running`. `repro --resume` reloads it, skips the completed
 //! artefacts (their JSON files are already on disk — they are written
 //! *before* the `done` transition), and re-queues the rest.
 //!
@@ -38,11 +37,8 @@ pub enum ArtefactState {
     /// Started but not finished — after a crash this means
     /// "interrupted, re-run me".
     Running,
-    /// Finished successfully at full accuracy.
+    /// Finished successfully.
     Done,
-    /// Finished via the declared-degraded fallback; the artefact JSON
-    /// is tagged accordingly.
-    Degraded,
     /// Exhausted its supervision policy without producing a result.
     Failed,
 }
@@ -55,29 +51,22 @@ impl ArtefactState {
             Self::Pending => "pending",
             Self::Running => "running",
             Self::Done => "done",
-            Self::Degraded => "degraded",
             Self::Failed => "failed",
         }
     }
 
-    /// Parses a label back; `None` for unknown strings.
+    /// Parses a label back; `None` for unknown strings. Older journals
+    /// may hold `"degraded"` (a retired reduced-accuracy outcome); it
+    /// loads as `Running`, so a resume re-runs that entry in full.
     #[must_use]
     pub fn from_label(label: &str) -> Option<Self> {
         match label {
             "pending" => Some(Self::Pending),
-            "running" => Some(Self::Running),
+            "running" | "degraded" => Some(Self::Running),
             "done" => Some(Self::Done),
-            "degraded" => Some(Self::Degraded),
             "failed" => Some(Self::Failed),
             _ => None,
         }
-    }
-
-    /// Whether a resume should skip this artefact (its output already
-    /// exists on disk).
-    #[must_use]
-    pub fn is_complete(self) -> bool {
-        matches!(self, Self::Done | Self::Degraded)
     }
 }
 
@@ -120,10 +109,8 @@ impl ToJson for JournalEntry {
 /// Aggregate journal counters, for exit-code decisions and reports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct JournalCounts {
-    /// Artefacts finished at full accuracy.
+    /// Artefacts finished successfully.
     pub done: usize,
-    /// Artefacts finished via the degraded fallback.
-    pub degraded: usize,
     /// Artefacts that exhausted their policy.
     pub failed: usize,
     /// Artefacts still pending or interrupted mid-run.
@@ -266,8 +253,7 @@ impl Journal {
             .and_then(|entries| entries.iter().find(|e| e.name == name).map(|e| e.state))
     }
 
-    /// Names whose state is complete (`done` or `degraded`) — the set a
-    /// resume skips.
+    /// Names whose state is `done` — the set a resume skips.
     #[must_use]
     pub fn completed_names(&self) -> Vec<String> {
         self.entries.lock().map_or_else(
@@ -275,7 +261,7 @@ impl Journal {
             |entries| {
                 entries
                     .iter()
-                    .filter(|e| e.state.is_complete())
+                    .filter(|e| e.state == ArtefactState::Done)
                     .map(|e| e.name.clone())
                     .collect()
             },
@@ -298,7 +284,6 @@ impl Journal {
             for entry in entries.iter() {
                 match entry.state {
                     ArtefactState::Done => counts.done += 1,
-                    ArtefactState::Degraded => counts.degraded += 1,
                     ArtefactState::Failed => counts.failed += 1,
                     ArtefactState::Pending | ArtefactState::Running => counts.unfinished += 1,
                 }
@@ -484,15 +469,43 @@ mod tests {
             ArtefactState::Pending,
             ArtefactState::Running,
             ArtefactState::Done,
-            ArtefactState::Degraded,
             ArtefactState::Failed,
         ] {
             assert_eq!(ArtefactState::from_label(state.label()), Some(state));
         }
         assert_eq!(ArtefactState::from_label("exploded"), None);
-        assert!(ArtefactState::Done.is_complete());
-        assert!(ArtefactState::Degraded.is_complete());
-        assert!(!ArtefactState::Running.is_complete());
+    }
+
+    #[test]
+    fn legacy_degraded_entries_load_as_interrupted_and_requeue() {
+        let scratch = Scratch::new("legacy");
+        fs::create_dir_all(&scratch.0).expect("mkdir");
+        fs::write(
+            scratch.journal_path(),
+            r#"{"schema": "darksil-journal-v1", "config": null, "artefacts": [
+                {"name": "table1", "state": "done", "seconds": 0.5},
+                {"name": "fig5", "state": "degraded", "attempts": [
+                    {"attempt": 0, "degraded": false, "outcome": "deadline", "backoff_ms": 60, "seconds": 30},
+                    {"attempt": 1, "degraded": true, "outcome": "ok", "backoff_ms": 0, "seconds": 0.1}
+                ], "seconds": 30.1}
+            ]}"#,
+        )
+        .expect("write v1 journal");
+        let journal = Journal::load(scratch.journal_path()).expect("v1 journal still loads");
+        assert_eq!(journal.state_of("fig5"), Some(ArtefactState::Running));
+        assert_eq!(journal.completed_names(), vec!["table1".to_string()]);
+        assert_eq!(
+            journal.requeue_unfinished(),
+            1,
+            "the degraded entry re-runs"
+        );
+        assert_eq!(journal.state_of("fig5"), Some(ArtefactState::Pending));
+        assert!(journal.entries()[1].attempts.is_empty());
+        // Saving never writes the retired label back.
+        journal.save().expect("save");
+        let text = fs::read_to_string(scratch.journal_path()).expect("read back");
+        assert!(text.contains(JOURNAL_SCHEMA));
+        assert!(!text.contains("\"degraded\""), "{text}");
     }
 
     #[test]

@@ -25,10 +25,10 @@
 //!   deadlines delivered through `darksil-robust`'s scoped
 //!   `RunContext`, retries with seeded jittered exponential backoff
 //!   ([`BackoffPolicy`]), a per-class [`CircuitBreaker`] against retry
-//!   storms, and an optional final declared-degraded attempt. Every
-//!   attempt is journalled as an [`AttemptRecord`].
+//!   storms. A job that exhausts its retries fails with its last
+//!   error's class. Every attempt is journalled as an [`AttemptRecord`].
 //! - [`Journal`], the crash-safe run journal: per-job lifecycle state
-//!   (`pending → running → done | degraded | failed`) plus attempt
+//!   (`pending → running → done | failed`) plus attempt
 //!   timelines, rewritten atomically on every transition. `repro
 //!   --resume`, the sweep runner and the `serve` daemon checkpoint
 //!   through it.
@@ -64,7 +64,7 @@
 //! `engine.job` / `engine.supervisor.attempt` spans, per-job
 //! `engine.queue_wait_s` observations, and
 //! `engine.cache.{hit,miss,recovered,store}` plus
-//! `engine.supervisor.{retry,degraded}` counters. Worker threads
+//! `engine.supervisor.{retry,breaker_open}` counters. Worker threads
 //! inherit the submitting thread's open span, so job spans nest under
 //! the fan-out that scheduled them. Disabled, every probe is a single
 //! relaxed atomic load.

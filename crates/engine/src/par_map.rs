@@ -92,8 +92,8 @@ impl Engine {
         let mut slots: Vec<Option<Result<T, DarksilError>>> = Vec::with_capacity(total);
         slots.resize_with(total, || None);
 
-        // The caller's RunContext (cancellation token, degraded flag,
-        // attempt number) is re-installed inside every worker, so a
+        // The caller's RunContext (cancellation token and attempt
+        // number) is re-installed inside every worker, so a
         // supervised job's deadline reaches nested fan-outs too. The
         // trace parent travels the same way: spans a job opens hang off
         // the submitter's `engine.par_map` span. The serial path above
@@ -256,12 +256,14 @@ mod tests {
 
     #[test]
     fn workers_inherit_the_callers_run_context() {
-        let ctx = darksil_robust::RunContext::unbounded()
-            .degraded_mode(true)
-            .attempt_number(3);
+        let ctx = darksil_robust::RunContext::with_token(
+            darksil_robust::CancellationToken::with_deadline(std::time::Duration::from_secs(3600)),
+        )
+        .attempt_number(3);
         let results = darksil_robust::scoped(&ctx, || {
             Engine::new(4).par_map((0..8).collect::<Vec<usize>>(), |i| {
-                if darksil_robust::is_degraded() && darksil_robust::current_attempt() == 3 {
+                let bounded = darksil_robust::run_context().token().remaining().is_some();
+                if bounded && darksil_robust::current_attempt() == 3 {
                     Ok(i)
                 } else {
                     Err(DarksilError::internal("context did not reach the worker"))

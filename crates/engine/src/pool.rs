@@ -87,7 +87,7 @@ impl ThreadPool {
     {
         let (tx, rx) = mpsc::channel();
         // Capture the submitter's RunContext so a supervised caller's
-        // deadline/degraded state travels with the job onto the worker;
+        // deadline and attempt number travel with the job onto the worker;
         // the trace parent rides along so the job's spans hang off the
         // submitter's open span.
         let context = darksil_robust::run_context();

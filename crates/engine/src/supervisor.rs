@@ -1,5 +1,5 @@
-//! Job supervision: deadlines, retries with deterministic backoff, a
-//! per-class circuit breaker, and declared graceful degradation.
+//! Job supervision: deadlines, retries with deterministic backoff, and
+//! a per-class circuit breaker.
 //!
 //! The [`Supervisor`] wraps one job closure and drives it through a
 //! policy described by a [`JobSpec`]:
@@ -18,11 +18,8 @@
 //!    class; once a class trips, further retries in that class are
 //!    skipped (first attempts still run), stopping retry storms when a
 //!    whole family of jobs is broken.
-//! 4. When retries are exhausted and the spec allows it, one final
-//!    attempt runs in *declared degraded mode* (`RunContext::is_degraded`
-//!    set): solvers relax their tolerances, injected hangs stand down,
-//!    and a success is reported with `degraded = true` so the artefact
-//!    can be tagged rather than dropped.
+//! 4. A job that exhausts its retries (or whose breaker is open, or
+//!    whose error is not retryable) fails with its last error's class.
 //!
 //! Every attempt is recorded as an [`AttemptRecord`] (outcome, class,
 //! backoff, wall-clock) for the run journal and error report.
@@ -45,8 +42,6 @@ pub enum AttemptTransition {
     Started {
         /// 0-based attempt number.
         attempt: u32,
-        /// Whether this attempt runs in declared degraded mode.
-        degraded: bool,
     },
     /// An attempt failed retryably; a retry follows after backoff.
     Backoff {
@@ -61,8 +56,6 @@ pub enum AttemptTransition {
     Finished {
         /// The final attempt's 0-based number.
         attempt: u32,
-        /// Whether a success came from a degraded attempt.
-        degraded: bool,
         /// `"ok"` or the failing error's class label.
         outcome: String,
     },
@@ -71,10 +64,9 @@ pub enum AttemptTransition {
 impl ToJson for AttemptTransition {
     fn to_json(&self) -> Json {
         match self {
-            Self::Started { attempt, degraded } => Json::Obj(vec![
+            Self::Started { attempt } => Json::Obj(vec![
                 ("kind".to_string(), Json::Str("attempt".to_string())),
                 ("attempt".to_string(), Json::Num(f64::from(*attempt))),
-                ("degraded".to_string(), Json::Bool(*degraded)),
             ]),
             Self::Backoff {
                 attempt,
@@ -90,14 +82,9 @@ impl ToJson for AttemptTransition {
                     ("backoff_ms".to_string(), Json::Num(backoff)),
                 ])
             }
-            Self::Finished {
-                attempt,
-                degraded,
-                outcome,
-            } => Json::Obj(vec![
+            Self::Finished { attempt, outcome } => Json::Obj(vec![
                 ("kind".to_string(), Json::Str("finished".to_string())),
                 ("attempt".to_string(), Json::Num(f64::from(*attempt))),
-                ("degraded".to_string(), Json::Bool(*degraded)),
                 ("outcome".to_string(), Json::Str(outcome.clone())),
             ]),
         }
@@ -218,14 +205,11 @@ pub struct JobSpec {
     pub deadline: Option<Duration>,
     /// Retries after the first attempt (0 = fail fast).
     pub max_retries: u32,
-    /// Whether to run one final declared-degraded attempt after the
-    /// retry budget is exhausted on a retryable failure.
-    pub degrade_on_exhaustion: bool,
 }
 
 impl JobSpec {
-    /// A spec with the given name and class, no deadline, two retries,
-    /// and no degradation.
+    /// A spec with the given name and class, no deadline and two
+    /// retries.
     #[must_use]
     pub fn new(name: impl Into<String>, class: impl Into<String>) -> Self {
         Self {
@@ -233,7 +217,6 @@ impl JobSpec {
             class: class.into(),
             deadline: None,
             max_retries: 2,
-            degrade_on_exhaustion: false,
         }
     }
 }
@@ -243,8 +226,6 @@ impl JobSpec {
 pub struct AttemptRecord {
     /// 0-based attempt number.
     pub attempt: u32,
-    /// Whether this attempt ran in declared degraded mode.
-    pub degraded: bool,
     /// `"ok"` or the failing error's class label.
     pub outcome: String,
     /// The failure message, for non-`ok` attempts.
@@ -260,7 +241,6 @@ impl ToJson for AttemptRecord {
     fn to_json(&self) -> Json {
         let mut fields = vec![
             ("attempt".to_string(), Json::Num(f64::from(self.attempt))),
-            ("degraded".to_string(), Json::Bool(self.degraded)),
             ("outcome".to_string(), Json::Str(self.outcome.clone())),
         ];
         if let Some(error) = &self.error {
@@ -273,20 +253,17 @@ impl ToJson for AttemptRecord {
     }
 }
 
-/// The outcome of a supervised job: the final result, the per-attempt
-/// timeline, and whether the success came from a degraded attempt.
+/// The outcome of a supervised job: the final result and the
+/// per-attempt timeline.
 #[derive(Debug)]
 pub struct Supervised<T> {
     /// The last attempt's result.
     pub result: Result<T, DarksilError>,
     /// Every attempt, in order.
     pub attempts: Vec<AttemptRecord>,
-    /// Whether [`Self::result`] is a success produced in declared
-    /// degraded mode.
-    pub degraded: bool,
 }
 
-/// Drives jobs through deadline/retry/degrade supervision. Safe to
+/// Drives jobs through deadline/retry supervision. Safe to
 /// share across worker threads by reference (the breaker state is
 /// internally locked).
 pub struct Supervisor {
@@ -343,9 +320,10 @@ impl Supervisor {
     }
 
     /// Runs `job` under `spec`'s policy. The job closure observes its
-    /// deadline, attempt number, and degraded flag through the
-    /// thread-scoped [`RunContext`] (`darksil_robust::check_deadline`
-    /// and friends); it needs no supervision-aware signature.
+    /// deadline and attempt number through the thread-scoped
+    /// [`RunContext`] (`darksil_robust::check_deadline` and friends); it
+    /// needs no supervision-aware signature. A job that exhausts its
+    /// retries fails with its last error.
     pub fn run<T>(
         &self,
         spec: &JobSpec,
@@ -354,20 +332,13 @@ impl Supervisor {
         let mut attempts = Vec::new();
         let mut attempt: u32 = 0;
         loop {
-            self.notify(
-                &spec.name,
-                &AttemptTransition::Started {
-                    attempt,
-                    degraded: false,
-                },
-            );
-            let (result, seconds) = self.attempt(spec, attempt, false, &job);
-            match result {
+            self.notify(&spec.name, &AttemptTransition::Started { attempt });
+            let (result, seconds) = self.attempt(spec, attempt, &job);
+            let error = match result {
                 Ok(value) => {
                     self.breaker.record_success(&spec.class);
                     attempts.push(AttemptRecord {
                         attempt,
-                        degraded: false,
                         outcome: "ok".to_string(),
                         error: None,
                         backoff_ms: 0,
@@ -377,139 +348,64 @@ impl Supervisor {
                         &spec.name,
                         &AttemptTransition::Finished {
                             attempt,
-                            degraded: false,
                             outcome: "ok".to_string(),
                         },
                     );
                     return Supervised {
                         result: Ok(value),
                         attempts,
-                        degraded: false,
                     };
                 }
-                Err(error) => {
-                    self.breaker.record_failure(&spec.class);
-                    let retryable = error.class().is_retryable();
-                    let breaker_open = self.breaker.is_open(&spec.class);
-                    if retryable && attempt < spec.max_retries && !breaker_open {
-                        let next_retry = attempt + 1;
-                        let backoff_ms = self.backoff.delay_ms(&spec.name, next_retry);
-                        darksil_obs::counter("engine.supervisor.retry", 1);
-                        attempts.push(AttemptRecord {
-                            attempt,
-                            degraded: false,
-                            outcome: error.class().label().to_string(),
-                            error: Some(error.to_string()),
-                            backoff_ms,
-                            seconds,
-                        });
-                        self.notify(
-                            &spec.name,
-                            &AttemptTransition::Backoff {
-                                attempt,
-                                outcome: error.class().label().to_string(),
-                                backoff_ms,
-                            },
-                        );
-                        (self.sleep)(Duration::from_millis(backoff_ms));
-                        attempt = next_retry;
-                        continue;
-                    }
-                    if retryable && attempt < spec.max_retries && breaker_open {
-                        // The retry budget was there but the breaker
-                        // vetoed it — operators watching `trace
-                        // summarize` need this distinct from ordinary
-                        // exhaustion to spot a failing class.
-                        darksil_obs::counter("engine.supervisor.breaker_open", 1);
-                    }
-                    attempts.push(AttemptRecord {
+                Err(error) => error,
+            };
+            self.breaker.record_failure(&spec.class);
+            let outcome = error.class().label().to_string();
+            let may_retry = error.class().is_retryable() && attempt < spec.max_retries;
+            let breaker_open = self.breaker.is_open(&spec.class);
+            if may_retry && !breaker_open {
+                let next_retry = attempt + 1;
+                let backoff_ms = self.backoff.delay_ms(&spec.name, next_retry);
+                darksil_obs::counter("engine.supervisor.retry", 1);
+                attempts.push(AttemptRecord {
+                    attempt,
+                    outcome: outcome.clone(),
+                    error: Some(error.to_string()),
+                    backoff_ms,
+                    seconds,
+                });
+                self.notify(
+                    &spec.name,
+                    &AttemptTransition::Backoff {
                         attempt,
-                        degraded: false,
-                        outcome: error.class().label().to_string(),
-                        error: Some(error.to_string()),
-                        backoff_ms: 0,
-                        seconds,
-                    });
-                    // Last resort: one declared-degraded attempt with a
-                    // fresh deadline. The breaker does not gate it — it
-                    // is the escape hatch, not another retry.
-                    if retryable && spec.degrade_on_exhaustion {
-                        let degraded_attempt = attempt + 1;
-                        darksil_obs::counter("engine.supervisor.degraded", 1);
-                        self.notify(
-                            &spec.name,
-                            &AttemptTransition::Started {
-                                attempt: degraded_attempt,
-                                degraded: true,
-                            },
-                        );
-                        let (result, seconds) = self.attempt(spec, degraded_attempt, true, &job);
-                        match result {
-                            Ok(value) => {
-                                self.breaker.record_success(&spec.class);
-                                attempts.push(AttemptRecord {
-                                    attempt: degraded_attempt,
-                                    degraded: true,
-                                    outcome: "ok".to_string(),
-                                    error: None,
-                                    backoff_ms: 0,
-                                    seconds,
-                                });
-                                self.notify(
-                                    &spec.name,
-                                    &AttemptTransition::Finished {
-                                        attempt: degraded_attempt,
-                                        degraded: true,
-                                        outcome: "ok".to_string(),
-                                    },
-                                );
-                                return Supervised {
-                                    result: Ok(value),
-                                    attempts,
-                                    degraded: true,
-                                };
-                            }
-                            Err(final_error) => {
-                                self.breaker.record_failure(&spec.class);
-                                attempts.push(AttemptRecord {
-                                    attempt: degraded_attempt,
-                                    degraded: true,
-                                    outcome: final_error.class().label().to_string(),
-                                    error: Some(final_error.to_string()),
-                                    backoff_ms: 0,
-                                    seconds,
-                                });
-                                self.notify(
-                                    &spec.name,
-                                    &AttemptTransition::Finished {
-                                        attempt: degraded_attempt,
-                                        degraded: true,
-                                        outcome: final_error.class().label().to_string(),
-                                    },
-                                );
-                                return Supervised {
-                                    result: Err(final_error),
-                                    attempts,
-                                    degraded: false,
-                                };
-                            }
-                        }
-                    }
-                    self.notify(
-                        &spec.name,
-                        &AttemptTransition::Finished {
-                            attempt,
-                            degraded: false,
-                            outcome: error.class().label().to_string(),
-                        },
-                    );
-                    return Supervised {
-                        result: Err(error),
-                        attempts,
-                        degraded: false,
-                    };
-                }
+                        outcome,
+                        backoff_ms,
+                    },
+                );
+                (self.sleep)(Duration::from_millis(backoff_ms));
+                attempt = next_retry;
+                continue;
             }
+            if may_retry {
+                // The retry budget was there but the breaker vetoed it —
+                // operators watching `trace summarize` need this distinct
+                // from ordinary exhaustion to spot a failing class.
+                darksil_obs::counter("engine.supervisor.breaker_open", 1);
+            }
+            attempts.push(AttemptRecord {
+                attempt,
+                outcome: outcome.clone(),
+                error: Some(error.to_string()),
+                backoff_ms: 0,
+                seconds,
+            });
+            self.notify(
+                &spec.name,
+                &AttemptTransition::Finished { attempt, outcome },
+            );
+            return Supervised {
+                result: Err(error),
+                attempts,
+            };
         }
     }
 
@@ -518,16 +414,13 @@ impl Supervisor {
         &self,
         spec: &JobSpec,
         attempt: u32,
-        degraded: bool,
         job: &impl Fn() -> Result<T, DarksilError>,
     ) -> (Result<T, DarksilError>, f64) {
         let token = spec.deadline.map_or_else(
             CancellationToken::unbounded,
             CancellationToken::with_deadline,
         );
-        let context = RunContext::with_token(token)
-            .attempt_number(attempt)
-            .degraded_mode(degraded);
+        let context = RunContext::with_token(token).attempt_number(attempt);
         let _span = darksil_obs::span("engine.supervisor.attempt");
         let started = Instant::now();
         let result = darksil_robust::scoped(&context, job);
@@ -582,7 +475,6 @@ mod tests {
         assert_eq!(out.result.expect("ok"), 42);
         assert_eq!(out.attempts.len(), 1);
         assert_eq!(out.attempts[0].outcome, "ok");
-        assert!(!out.degraded);
     }
 
     #[test]
@@ -666,26 +558,33 @@ mod tests {
     }
 
     #[test]
-    fn exhausted_retries_degrade_when_allowed() {
+    fn exhausted_retries_fail_with_the_last_errors_class() {
         let sup = fast_supervisor(10);
         let spec = JobSpec {
             max_retries: 1,
-            degrade_on_exhaustion: true,
             ..JobSpec::new("hot", "thermal")
         };
-        let out = sup.run(&spec, || {
-            if darksil_robust::is_degraded() {
-                Ok("coarse answer")
+        let calls = AtomicU32::new(0);
+        let out = sup.run(&spec, || -> Result<(), DarksilError> {
+            if calls.fetch_add(1, Ordering::SeqCst) == 0 {
+                Err(DarksilError::solver("first stall"))
             } else {
                 Err(DarksilError::deadline("full-accuracy solve too slow"))
             }
         });
-        assert_eq!(out.result.expect("degraded attempt wins"), "coarse answer");
-        assert!(out.degraded);
-        let last = out.attempts.last().expect("records");
-        assert!(last.degraded);
-        assert_eq!(last.outcome, "ok");
-        assert_eq!(out.attempts.len(), 3, "2 strict attempts + 1 degraded");
+        let error = out.result.expect_err("retries exhausted");
+        assert_eq!(error.class().label(), "deadline");
+        let timeline: Vec<(u32, &str, bool)> = out
+            .attempts
+            .iter()
+            .map(|a| (a.attempt, a.outcome.as_str(), a.backoff_ms > 0))
+            .collect();
+        assert_eq!(
+            timeline,
+            vec![(0, "solver", false), (1, "deadline", false)],
+            "1 attempt + 1 retry, then the job fails"
+        );
+        assert_eq!(calls.load(Ordering::SeqCst), 2);
     }
 
     #[test]
@@ -718,30 +617,31 @@ mod tests {
     }
 
     #[test]
-    fn a_deadline_cancels_a_cooperative_spin_and_degrades() {
+    fn a_deadline_cancels_a_cooperative_spin_on_every_attempt() {
         let sup = fast_supervisor(10);
         let spec = JobSpec {
             deadline: Some(Duration::from_millis(30)),
             max_retries: 1,
-            degrade_on_exhaustion: true,
             ..JobSpec::new("hang", "thermal")
         };
-        let out = sup.run(&spec, || {
-            if darksil_robust::is_degraded() {
-                return Ok("relaxed solve converged");
-            }
+        let started = Instant::now();
+        let out = sup.run(&spec, || -> Result<(), DarksilError> {
             loop {
                 darksil_robust::check_deadline("spin")?;
                 std::thread::sleep(Duration::from_millis(1));
             }
         });
-        assert_eq!(
-            out.result.expect("degraded rescue"),
-            "relaxed solve converged"
+        let error = out.result.expect_err("a spin never succeeds");
+        assert_eq!(error.class().label(), "deadline");
+        let outcomes: Vec<&str> = out.attempts.iter().map(|a| a.outcome.as_str()).collect();
+        assert_eq!(outcomes, vec!["deadline", "deadline"]);
+        for record in &out.attempts {
+            assert!(record.seconds >= 0.03, "attempt ran to its deadline");
+        }
+        assert!(
+            started.elapsed() < Duration::from_secs(10),
+            "the spin never wedges the worker"
         );
-        assert!(out.degraded);
-        assert_eq!(out.attempts[0].outcome, "deadline");
-        assert_eq!(out.attempts[1].outcome, "deadline");
     }
 
     #[test]
@@ -756,44 +656,28 @@ mod tests {
         }));
         let spec = JobSpec {
             max_retries: 1,
-            degrade_on_exhaustion: true,
             ..JobSpec::new("watched", "thermal")
         };
-        let out = sup.run(&spec, || {
-            if darksil_robust::is_degraded() {
-                Ok("coarse")
-            } else {
-                Err(DarksilError::deadline("slow"))
-            }
+        let out = sup.run(&spec, || -> Result<(), DarksilError> {
+            Err(DarksilError::deadline("slow"))
         });
-        assert!(out.degraded);
+        assert!(out.result.is_err());
         let log = seen.lock().expect("hook log");
         assert!(log.iter().all(|(name, _)| name == "watched"));
         let transitions: Vec<&AttemptTransition> = log.iter().map(|(_, t)| t).collect();
         assert_eq!(
             transitions,
             vec![
-                &AttemptTransition::Started {
-                    attempt: 0,
-                    degraded: false
-                },
+                &AttemptTransition::Started { attempt: 0 },
                 &AttemptTransition::Backoff {
                     attempt: 0,
                     outcome: "deadline".to_string(),
                     backoff_ms: 0
                 },
-                &AttemptTransition::Started {
-                    attempt: 1,
-                    degraded: false
-                },
-                &AttemptTransition::Started {
-                    attempt: 2,
-                    degraded: true
-                },
+                &AttemptTransition::Started { attempt: 1 },
                 &AttemptTransition::Finished {
-                    attempt: 2,
-                    degraded: true,
-                    outcome: "ok".to_string()
+                    attempt: 1,
+                    outcome: "deadline".to_string()
                 },
             ]
         );
@@ -801,11 +685,7 @@ mod tests {
 
     #[test]
     fn transitions_serialise_with_a_kind_tag() {
-        let started = AttemptTransition::Started {
-            attempt: 0,
-            degraded: false,
-        }
-        .to_json();
+        let started = AttemptTransition::Started { attempt: 0 }.to_json();
         assert_eq!(started.get("kind"), Some(&Json::Str("attempt".into())));
         let backoff = AttemptTransition::Backoff {
             attempt: 1,
@@ -816,19 +696,17 @@ mod tests {
         assert_eq!(backoff.get("backoff_ms"), Some(&Json::Num(75.0)));
         let finished = AttemptTransition::Finished {
             attempt: 2,
-            degraded: true,
             outcome: "ok".to_string(),
         }
         .to_json();
         assert_eq!(finished.get("kind"), Some(&Json::Str("finished".into())));
-        assert_eq!(finished.get("degraded"), Some(&Json::Bool(true)));
+        assert_eq!(finished.get("outcome"), Some(&Json::Str("ok".into())));
     }
 
     #[test]
     fn attempt_records_serialise() {
         let record = AttemptRecord {
             attempt: 1,
-            degraded: false,
             outcome: "deadline".to_string(),
             error: Some("[deadline] cg iteration: wall-clock deadline exceeded".to_string()),
             backoff_ms: 75,

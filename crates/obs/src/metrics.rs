@@ -2,10 +2,11 @@
 //! fixed-window rolling histograms with a deterministic Prometheus
 //! text exposition.
 //!
-//! Where the span/event recorder ([`crate::recorder`]) captures a
-//! *bounded run* and drains it destructively, this registry serves a
-//! *long-running process*: a daemon calls [`metrics_enable`] once at
-//! startup and scrapes [`render_prometheus`] for as long as it lives.
+//! Where the span/event recorder ([`enable`](crate::enable) /
+//! [`drain`](crate::drain)) captures a *bounded run* and drains it
+//! destructively, this registry serves a *long-running process*: a
+//! daemon calls [`metrics_enable`] once at startup and scrapes
+//! [`render_prometheus`] for as long as it lives.
 //! The two subsystems share the design that made the recorder cheap —
 //! every entry point is guarded by a single relaxed atomic load, so an
 //! un-enabled process pays a few nanoseconds and takes no lock.

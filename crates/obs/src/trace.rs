@@ -270,13 +270,11 @@ impl Trace {
             );
         }
         let retries = self.counter("engine.supervisor.retry");
-        let degraded = self.counter("engine.supervisor.degraded");
         let breaker_skips = self.counter("engine.supervisor.breaker_open");
-        if retries > 0 || degraded > 0 || breaker_skips > 0 {
+        if retries > 0 || breaker_skips > 0 {
             let _ = writeln!(
                 out,
-                "supervisor: {retries} retries, {degraded} degraded runs, \
-                 {breaker_skips} retries skipped (breaker open)"
+                "supervisor: {retries} retries, {breaker_skips} retries skipped (breaker open)"
             );
         }
         let factored = self.counter("numerics.stage.factored");
@@ -585,14 +583,11 @@ mod tests {
         let mut trace = fixture();
         trace.counters.extend([
             ("engine.supervisor.retry".to_string(), 5),
-            ("engine.supervisor.degraded".to_string(), 2),
             ("engine.supervisor.breaker_open".to_string(), 3),
         ]);
         let text = trace.render_summary(10);
         assert!(
-            text.contains(
-                "supervisor: 5 retries, 2 degraded runs, 3 retries skipped (breaker open)"
-            ),
+            text.contains("supervisor: 5 retries, 3 retries skipped (breaker open)"),
             "{text}"
         );
 
@@ -604,9 +599,7 @@ mod tests {
             .push(("engine.supervisor.breaker_open".to_string(), 7));
         let text = skips_only.render_summary(10);
         assert!(
-            text.contains(
-                "supervisor: 0 retries, 0 degraded runs, 7 retries skipped (breaker open)"
-            ),
+            text.contains("supervisor: 0 retries, 7 retries skipped (breaker open)"),
             "{text}"
         );
     }

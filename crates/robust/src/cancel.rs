@@ -14,10 +14,9 @@
 //! the context with [`scoped`] around a job, the execution engine
 //! re-installs the caller's context inside its workers, and any kernel
 //! anywhere below can poll [`check_deadline`] (or consult
-//! [`is_degraded`] / [`current_attempt`]) without its API knowing about
-//! supervision at all. Code running outside any scope sees an
-//! unbounded, non-degraded context, so the checks are free to sprinkle
-//! unconditionally.
+//! [`current_attempt`]) without its API knowing about supervision at
+//! all. Code running outside any scope sees an unbounded, first-attempt
+//! context, so the checks are free to sprinkle unconditionally.
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -128,23 +127,20 @@ impl CancellationToken {
 }
 
 /// Everything a supervised job needs to know about how it is being
-/// run: its cancellation token, whether this is a declared degraded
-/// attempt, and which attempt (0-based) it is.
+/// run: its cancellation token and which attempt (0-based) it is.
 #[derive(Debug, Clone)]
 pub struct RunContext {
     token: CancellationToken,
-    degraded: bool,
     attempt: u32,
 }
 
 impl RunContext {
-    /// An unbounded, non-degraded, first-attempt context — what
+    /// An unbounded, first-attempt context — what
     /// unsupervised code implicitly runs under.
     #[must_use]
     pub fn unbounded() -> Self {
         Self {
             token: CancellationToken::unbounded(),
-            degraded: false,
             attempt: 0,
         }
     }
@@ -152,18 +148,7 @@ impl RunContext {
     /// A context around an existing token.
     #[must_use]
     pub fn with_token(token: CancellationToken) -> Self {
-        Self {
-            token,
-            degraded: false,
-            attempt: 0,
-        }
-    }
-
-    /// Marks (or clears) the declared-degraded flag (builder style).
-    #[must_use]
-    pub fn degraded_mode(mut self, degraded: bool) -> Self {
-        self.degraded = degraded;
-        self
+        Self { token, attempt: 0 }
     }
 
     /// Records the 0-based attempt number (builder style).
@@ -177,13 +162,6 @@ impl RunContext {
     #[must_use]
     pub fn token(&self) -> &CancellationToken {
         &self.token
-    }
-
-    /// Whether the job should run in declared degraded mode (relaxed
-    /// solver tolerances, coarser grids).
-    #[must_use]
-    pub fn is_degraded(&self) -> bool {
-        self.degraded
     }
 
     /// The 0-based attempt number.
@@ -247,17 +225,6 @@ pub fn check_deadline(what: &str) -> Result<(), DarksilError> {
     CURRENT.with(|current| match current.borrow().as_ref() {
         Some(context) => context.token().check(what),
         None => Ok(()),
-    })
-}
-
-/// Whether the current context runs in declared degraded mode.
-#[must_use]
-pub fn is_degraded() -> bool {
-    CURRENT.with(|current| {
-        current
-            .borrow()
-            .as_ref()
-            .is_some_and(RunContext::is_degraded)
     })
 }
 
@@ -326,26 +293,24 @@ mod tests {
     #[test]
     fn scoped_context_is_visible_and_restored() {
         assert!(check_deadline("outside").is_ok());
-        assert!(!is_degraded());
         assert_eq!(current_attempt(), 0);
 
-        let context = RunContext::with_token(CancellationToken::unbounded())
-            .degraded_mode(true)
+        let context = RunContext::with_token(CancellationToken::with_deadline(Duration::ZERO))
             .attempt_number(3);
         scoped(&context, || {
-            assert!(is_degraded());
             assert_eq!(current_attempt(), 3);
+            assert!(check_deadline("inside").is_err());
             // Nested scopes shadow and then restore the outer one.
             let inner = RunContext::unbounded();
             scoped(&inner, || {
-                assert!(!is_degraded());
                 assert_eq!(current_attempt(), 0);
+                assert!(check_deadline("nested").is_ok());
             });
-            assert!(is_degraded());
             assert_eq!(current_attempt(), 3);
+            assert!(check_deadline("inside again").is_err());
         });
-        assert!(!is_degraded());
         assert_eq!(current_attempt(), 0);
+        assert!(check_deadline("outside again").is_ok());
     }
 
     #[test]

@@ -40,8 +40,7 @@ pub enum Fault {
     },
     /// The job spins forever (cooperatively observing its cancellation
     /// token), modelling a diverging solve. A supervisor must cancel it
-    /// at the deadline; a declared *degraded* attempt skips the hang,
-    /// modelling the relaxed solve that does converge.
+    /// at the deadline on every attempt.
     Hang,
     /// The job sleeps for `millis` before doing any work, modelling an
     /// overloaded stage that may or may not beat its deadline.
@@ -218,10 +217,7 @@ impl FaultPlan {
     ///   error while [`crate::current_attempt`] is below the configured
     ///   count, and passes afterwards.
     /// - [`Fault::Hang`] spins observing the token until it trips,
-    ///   returning the resulting `deadline`-class error — unless the
-    ///   current attempt is declared degraded, which skips the hang
-    ///   (the degraded re-run is the supervisor's escape hatch for a
-    ///   diverging solve).
+    ///   returning the resulting `deadline`-class error.
     ///
     /// # Errors
     ///
@@ -240,7 +236,7 @@ impl FaultPlan {
                 )));
             }
         }
-        if self.hangs() && !crate::is_degraded() {
+        if self.hangs() {
             loop {
                 crate::check_deadline(what)?;
                 std::thread::sleep(Duration::from_millis(1));
@@ -348,16 +344,19 @@ mod tests {
     }
 
     #[test]
-    fn hang_is_cancelled_at_the_deadline_and_skipped_when_degraded() {
+    fn hang_is_cancelled_at_the_deadline() {
         let plan = FaultPlan::new(1).with(Fault::Hang);
-        let bounded = crate::RunContext::with_token(crate::CancellationToken::with_deadline(
-            Duration::from_millis(20),
-        ));
-        let err = crate::scoped(&bounded, || plan.inject_job_faults("hung solve"))
-            .expect_err("deadline cancels the hang");
-        assert_eq!(err.class(), crate::ErrorClass::Deadline);
-        let degraded = crate::RunContext::unbounded().degraded_mode(true);
-        crate::scoped(&degraded, || plan.inject_job_faults("hung solve"))
-            .expect("degraded attempt skips the hang");
+        // Every attempt hangs until its own deadline, retries included.
+        for attempt in 0..2 {
+            let bounded = crate::RunContext::with_token(crate::CancellationToken::with_deadline(
+                Duration::from_millis(20),
+            ))
+            .attempt_number(attempt);
+            let started = std::time::Instant::now();
+            let err = crate::scoped(&bounded, || plan.inject_job_faults("hung solve"))
+                .expect_err("deadline cancels the hang");
+            assert_eq!(err.class(), crate::ErrorClass::Deadline);
+            assert!(started.elapsed() >= Duration::from_millis(20));
+        }
     }
 }

@@ -12,8 +12,9 @@
 //!   --inject` flag use it to corrupt sensor readings, poison power
 //!   samples with NaN, cap CG iteration budgets, request off-ladder
 //!   frequencies, and simulate hung/slow/transiently-failing jobs,
-//!   verifying that DTM, DsRem and the job supervisor *degrade*
-//!   (throttle, retry, relax tolerances) instead of panicking.
+//!   verifying that DTM and DsRem *degrade* (throttle, relax
+//!   tolerances) and the job supervisor retries or fails cleanly
+//!   instead of panicking.
 //! - [`CancellationToken`] / [`RunContext`], cooperative cancellation
 //!   with wall-clock deadlines. The context is thread-scoped (see
 //!   [`scoped`]) so CG iterations and per-step policy loops can poll
@@ -28,8 +29,7 @@ mod fault;
 mod rng;
 
 pub use cancel::{
-    check_deadline, current_attempt, is_degraded, run_context, scoped, CancellationToken,
-    RunContext,
+    check_deadline, current_attempt, run_context, scoped, CancellationToken, RunContext,
 };
 pub use error::{DarksilError, ErrorClass};
 pub use fault::{Fault, FaultPlan};

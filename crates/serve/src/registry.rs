@@ -22,10 +22,8 @@ pub enum JobState {
     Queued,
     /// A pool worker is executing it.
     Running,
-    /// Finished with full-fidelity results.
+    /// Finished with a result.
     Done,
-    /// Finished, but the final attempt ran in declared degraded mode.
-    Degraded,
     /// Exhausted retries without a result.
     Failed,
 }
@@ -38,7 +36,6 @@ impl JobState {
             Self::Queued => "queued",
             Self::Running => "running",
             Self::Done => "done",
-            Self::Degraded => "degraded",
             Self::Failed => "failed",
         }
     }
@@ -47,12 +44,6 @@ impl JobState {
     #[must_use]
     pub fn is_inflight(self) -> bool {
         matches!(self, Self::Queued | Self::Running)
-    }
-
-    /// Whether an artefact exists for this job.
-    #[must_use]
-    pub fn has_artefact(self) -> bool {
-        matches!(self, Self::Done | Self::Degraded)
     }
 }
 
@@ -109,7 +100,7 @@ impl JobRecord {
         if let Some(cache) = &self.cache {
             fields.push(("cache".to_string(), Json::Str(cache.clone())));
         }
-        if self.state.has_artefact() {
+        if self.state == JobState::Done {
             fields.push((
                 "artefact".to_string(),
                 Json::Str(format!("/v1/artefacts/{}", self.digest)),
@@ -189,7 +180,7 @@ pub enum WatchStep {
         lines: Vec<Json>,
         /// The caller's next cursor.
         cursor: usize,
-        /// Whether the job is done/degraded/failed.
+        /// Whether the job is done/failed.
         terminal: bool,
     },
     /// No new transitions within the timeout — send a heartbeat.
@@ -474,7 +465,6 @@ impl Registry {
             JobState::Queued,
             JobState::Running,
             JobState::Done,
-            JobState::Degraded,
             JobState::Failed,
         ] {
             by_state.insert(state.label(), 0);

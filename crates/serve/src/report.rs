@@ -2,26 +2,13 @@
 //!
 //! `GET /v1/jobs/<digest>/report` renders the job record — state,
 //! tenants, supervisor attempt timeline — plus the artefact JSON into
-//! a single dependency-free HTML page, mirroring the run reports the
-//! CLI writes under `results/`.
+//! a single dependency-free HTML page, in the same page shell as the
+//! run reports the CLI writes under `results/`.
 
 use darksil_json::Json;
+use darksil_obs::svg::{esc, html_page};
 
 use crate::registry::JobRecord;
-
-fn escape(text: &str) -> String {
-    let mut out = String::with_capacity(text.len());
-    for ch in text.chars() {
-        match ch {
-            '&' => out.push_str("&amp;"),
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            '"' => out.push_str("&quot;"),
-            _ => out.push(ch),
-        }
-    }
-    out
-}
 
 fn attempt_row(attempt: &Json) -> String {
     let field = |name: &str| -> String {
@@ -41,12 +28,11 @@ fn attempt_row(attempt: &Json) -> String {
         }
     };
     format!(
-        "<tr><td>{}</td><td>{}</td><td>{}</td><td>{}</td><td>{}</td></tr>",
-        escape(&field("attempt")),
-        escape(&field("outcome")),
-        escape(&field("degraded")),
-        escape(&field("backoff_ms")),
-        escape(&field("error")),
+        "<tr><td class=\"num\">{}</td><td>{}</td><td class=\"num\">{}</td><td>{}</td></tr>",
+        esc(&field("attempt")),
+        esc(&field("outcome")),
+        esc(&field("backoff_ms")),
+        esc(&field("error")),
     )
 }
 
@@ -54,54 +40,38 @@ fn attempt_row(attempt: &Json) -> String {
 /// one exists.
 #[must_use]
 pub fn render(record: &JobRecord, artefact: Option<&Json>) -> String {
-    let mut html = String::new();
-    html.push_str("<!doctype html>\n<html><head><meta charset=\"utf-8\">\n");
-    html.push_str(&format!(
-        "<title>darksil job {}</title>\n",
-        escape(&record.digest)
-    ));
-    html.push_str(
-        "<style>body{font-family:system-ui,sans-serif;margin:2rem;max-width:60rem}\
-         table{border-collapse:collapse}td,th{border:1px solid #ccc;padding:.3rem .6rem;\
-         text-align:left}pre{background:#f6f6f6;padding:1rem;overflow:auto}\
-         .state{font-weight:bold}</style></head><body>\n",
-    );
-    html.push_str(&format!(
-        "<h1>Job <code>{}</code></h1>\n",
-        escape(&record.digest)
-    ));
-    html.push_str(&format!(
-        "<p>state: <span class=\"state\">{}</span> · tenants: {} · {:.3}s</p>\n",
-        escape(record.state.label()),
-        escape(&record.tenants.join(", ")),
+    let mut body = format!("<h1>Job <code>{}</code></h1>\n", esc(&record.digest));
+    body.push_str(&format!(
+        "<p class=\"subtitle\">state: <strong>{}</strong> · tenants: {} · {:.3}s</p>\n",
+        esc(record.state.label()),
+        esc(&record.tenants.join(", ")),
         record.seconds
     ));
     if let Some(error) = &record.error {
-        html.push_str(&format!("<p>error: <code>{}</code></p>\n", escape(error)));
+        body.push_str(&format!("<p>error: <code>{}</code></p>\n", esc(error)));
     }
     if let Some(cache) = &record.cache {
-        html.push_str(&format!("<p>cache: {}</p>\n", escape(cache)));
+        body.push_str(&format!("<p>cache: {}</p>\n", esc(cache)));
     }
     if record.attempts.is_empty() {
-        html.push_str("<p>No attempts recorded yet.</p>\n");
+        body.push_str("<p class=\"note\">No attempts recorded yet.</p>\n");
     } else {
-        html.push_str(
-            "<h2>Attempts</h2>\n<table><tr><th>#</th><th>outcome</th>\
-             <th>degraded</th><th>backoff&nbsp;ms</th><th>error</th></tr>\n",
+        body.push_str(
+            "<h2>Attempts</h2>\n<table><tr><th class=\"num\">#</th><th>outcome</th>\
+             <th class=\"num\">backoff&nbsp;ms</th><th>error</th></tr>\n",
         );
         for attempt in &record.attempts {
-            html.push_str(&attempt_row(attempt));
-            html.push('\n');
+            body.push_str(&attempt_row(attempt));
+            body.push('\n');
         }
-        html.push_str("</table>\n");
+        body.push_str("</table>\n");
     }
     if let Some(payload) = artefact {
-        html.push_str("<h2>Artefact</h2>\n<pre>");
-        html.push_str(&escape(&payload.pretty()));
-        html.push_str("</pre>\n");
+        body.push_str("<h2>Artefact</h2>\n<pre>");
+        body.push_str(&esc(&payload.pretty()));
+        body.push_str("</pre>\n");
     }
-    html.push_str("</body></html>\n");
-    html
+    html_page(&format!("darksil job {}", record.digest), &body)
 }
 
 #[cfg(test)]
@@ -112,27 +82,43 @@ mod tests {
     #[test]
     fn report_escapes_and_includes_the_timeline() {
         let record = JobRecord {
-            digest: "abc123".to_string(),
+            digest: "abc<123>".to_string(),
             tenants: vec!["<script>".to_string()],
-            state: JobState::Degraded,
+            state: JobState::Done,
             error: None,
-            attempts: vec![Json::Obj(vec![
-                ("attempt".to_string(), Json::Num(0.0)),
-                ("outcome".to_string(), Json::Str("retried".to_string())),
-                ("degraded".to_string(), Json::Bool(false)),
-                ("backoff_ms".to_string(), Json::Num(50.0)),
-                ("error".to_string(), Json::Str("[solver] boom".to_string())),
-            ])],
+            attempts: vec![
+                Json::Obj(vec![
+                    ("attempt".to_string(), Json::Num(0.0)),
+                    ("outcome".to_string(), Json::Str("solver".to_string())),
+                    ("backoff_ms".to_string(), Json::Num(50.0)),
+                    ("error".to_string(), Json::Str("[solver] boom".to_string())),
+                ]),
+                Json::Obj(vec![
+                    ("attempt".to_string(), Json::Num(1.0)),
+                    ("outcome".to_string(), Json::Str("ok".to_string())),
+                    ("backoff_ms".to_string(), Json::Num(0.0)),
+                ]),
+            ],
             seconds: 0.25,
             cache: Some("miss".to_string()),
             transitions: Vec::new(),
         };
         let payload = Json::Obj(vec![("name".to_string(), Json::Str("x".to_string()))]);
         let html = render(&record, Some(&payload));
+        assert!(html.starts_with("<!DOCTYPE html>"), "{html}");
+        assert!(
+            html.contains("<title>darksil job abc&lt;123&gt;</title>"),
+            "title must be escaped: {html}"
+        );
         assert!(html.contains("&lt;script&gt;"), "tenant must be escaped");
-        assert!(html.contains("degraded"), "{html}");
-        assert!(html.contains("retried"), "{html}");
-        assert!(html.contains("Artefact"), "{html}");
-        assert!(!html.contains("<script>"), "no raw tenant injection");
+        assert!(!html.contains("<script"), "no raw tenant injection");
+        // Header row plus one row per attempt, four columns each.
+        assert_eq!(html.matches("<tr>").count(), 3, "{html}");
+        assert!(html.contains(
+            "<tr><td class=\"num\">0</td><td>solver</td><td class=\"num\">50</td>\
+             <td>[solver] boom</td></tr>"
+        ));
+        assert!(html.contains("<td>ok</td>"), "{html}");
+        assert!(html.contains("<h2>Artefact</h2>"), "{html}");
     }
 }

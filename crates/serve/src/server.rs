@@ -7,7 +7,7 @@
 //! POST /v1/jobs ── admission (dedup → quota → cap) ──► queued
 //!                                                        │ pool worker
 //!                                                        ▼
-//!                                    running ──► done | degraded | failed
+//!                                            running ──► done | failed
 //! ```
 //!
 //! Every admitted job is journalled (`state/journal.json`, the
@@ -137,7 +137,7 @@ pub struct DrainSummary {
 pub struct FaultSpec {
     /// Seed for deterministic fault placement.
     pub seed: u64,
-    /// Hang every non-degraded attempt until its deadline.
+    /// Hang every attempt until its deadline.
     pub hang: bool,
     /// Sleep this long at the start of every attempt.
     pub slow_ms: u64,
@@ -510,15 +510,11 @@ fn resume(state: &Arc<ServerState>) -> Result<usize, DarksilError> {
             .map(|job| job.tenants)
             .unwrap_or_default();
         match entry.state {
-            ArtefactState::Done | ArtefactState::Degraded => {
+            ArtefactState::Done => {
                 state.registry.restore(JobRecord {
                     digest,
                     tenants,
-                    state: if entry.state == ArtefactState::Degraded {
-                        JobState::Degraded
-                    } else {
-                        JobState::Done
-                    },
+                    state: JobState::Done,
                     error: None,
                     attempts: entry.attempts.clone(),
                     seconds: entry.seconds,
@@ -602,7 +598,7 @@ fn run_job(state: &Arc<ServerState>, digest: &str) {
     let job = match read_spool(state, digest) {
         Ok(job) => job,
         Err(error) => {
-            finish_job(state, digest, Err(error), Vec::new(), started, false, None);
+            finish_job(state, digest, Err(error), Vec::new(), started, None);
             return;
         }
     };
@@ -612,7 +608,6 @@ fn run_job(state: &Arc<ServerState>, digest: &str) {
         class: "serve.scenario".to_string(),
         deadline: Some(state.config.job_deadline),
         max_retries: 2,
-        degrade_on_exhaustion: true,
     };
     let scenario = job.scenario;
     let scenario_json = scenario.to_json();
@@ -627,14 +622,7 @@ fn run_job(state: &Arc<ServerState>, digest: &str) {
                 return Err(DarksilError::non_finite("injected NaN in power telemetry"));
             }
         }
-        // Degraded attempts may relax solver behaviour, so they must
-        // not share cache entries with full-fidelity solves.
-        let artefact_kind = if darksil_robust::is_degraded() {
-            "scenario.degraded"
-        } else {
-            "scenario"
-        };
-        let key = state.cache.key(artefact_kind, &scenario_json);
+        let key = state.cache.key("scenario", &scenario_json);
         let (payload, outcome) = state.cache.get_or_compute(&key, || {
             run_scenario(&scenario)
                 .map(|report| report.to_json())
@@ -658,15 +646,7 @@ fn run_job(state: &Arc<ServerState>, digest: &str) {
             1,
         );
     }
-    finish_job(
-        state,
-        digest,
-        supervised.result,
-        attempts,
-        started,
-        supervised.degraded,
-        label,
-    );
+    finish_job(state, digest, supervised.result, attempts, started, label);
 }
 
 fn finish_job(
@@ -675,7 +655,6 @@ fn finish_job(
     result: Result<Json, DarksilError>,
     attempts: Vec<Json>,
     started: Instant,
-    degraded: bool,
     cache: Option<String>,
 ) {
     let seconds = started.elapsed().as_secs_f64();
@@ -701,21 +680,15 @@ fn finish_job(
     });
     match outcome {
         Ok(()) => {
-            let (job_state, artefact_state) = if degraded {
-                darksil_obs::counter("serve.job.degraded", 1);
-                (JobState::Degraded, ArtefactState::Degraded)
-            } else {
-                darksil_obs::counter("serve.job.done", 1);
-                (JobState::Done, ArtefactState::Done)
-            };
+            darksil_obs::counter("serve.job.done", 1);
             darksil_obs::counter_add(
                 "darksil_serve_jobs_total",
-                &[("outcome", job_state.label()), ("tenant", &tenant)],
+                &[("outcome", "done"), ("tenant", &tenant)],
                 1,
             );
             if state
                 .journal
-                .record_finished(digest, artefact_state, None, attempts.clone(), seconds)
+                .record_finished(digest, ArtefactState::Done, None, attempts.clone(), seconds)
                 .is_err()
             {
                 darksil_obs::counter("serve.journal.write_failed", 1);
@@ -723,7 +696,7 @@ fn finish_job(
             }
             state
                 .registry
-                .finish(digest, job_state, None, attempts, seconds, cache);
+                .finish(digest, JobState::Done, None, attempts, seconds, cache);
         }
         Err(error) => {
             darksil_obs::counter("serve.job.failed", 1);
@@ -1158,7 +1131,7 @@ fn handle_artefact(state: &Arc<ServerState>, digest: &str) -> Response {
         let error = DarksilError::unsupported(format!("no such job: {digest}"));
         return Response::error(404, &error);
     };
-    if !record.state.has_artefact() {
+    if record.state != JobState::Done {
         let error = DarksilError::config(format!(
             "job {digest} is {}; no artefact yet",
             record.state.label()
@@ -1182,7 +1155,7 @@ fn handle_report(state: &Arc<ServerState>, digest: &str) -> Response {
         let error = DarksilError::unsupported(format!("no such job: {digest}"));
         return Response::error(404, &error);
     };
-    let artefact = if record.state.has_artefact() {
+    let artefact = if record.state == JobState::Done {
         std::fs::read_to_string(state.artefact_path(digest))
             .ok()
             .and_then(|text| darksil_json::parse(&text).ok())
@@ -1243,7 +1216,7 @@ fn handle_events(state: &Arc<ServerState>, digest: &str) -> Response {
         let error = DarksilError::unsupported(format!("no such job: {digest}"));
         return Response::error(404, &error);
     };
-    if !record.state.has_artefact() {
+    if record.state != JobState::Done {
         let error = DarksilError::config(format!(
             "job {digest} is {}; events are derived once a job finishes",
             record.state.label()

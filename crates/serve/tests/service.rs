@@ -9,7 +9,8 @@
 //! Retry-After), typed 4xx rejections, graceful drain, restart
 //! serving byte-identical artefacts, resume of journalled-but-
 //! unfinished jobs, and FaultPlan chaos through the HTTP path
-//! (transient retries and a hang that degrades instead of wedging).
+//! (transient retries and a hang that fails at its deadline instead of
+//! wedging).
 //! The SIGKILL variant of the restart story runs in CI's `service`
 //! job, where the daemon is a real child process.
 
@@ -426,7 +427,7 @@ fn restart_resumes_journalled_unfinished_jobs() {
 }
 
 #[test]
-fn chaos_through_http_transient_retries_and_hang_degrades() {
+fn chaos_through_http_transient_retries_and_hang_fails_at_deadline() {
     let scratch = Scratch::new("chaos");
     let config = ServeConfig {
         job_deadline: Duration::from_millis(250),
@@ -447,9 +448,9 @@ fn chaos_through_http_transient_retries_and_hang_degrades() {
     let timeline = field(&done, "attempts").compact().to_string();
     assert!(timeline.contains("injected"), "retries visible: {timeline}");
 
-    // A hang eats every full-fidelity attempt's deadline, then the
-    // degraded attempt completes: degraded state, artefact still
-    // served (the "degraded-but-200" acceptance point).
+    // A hang eats every attempt's deadline and the job fails with a
+    // `deadline` timeline — cancelled each time, never wedging the
+    // worker — and there is no artefact to serve.
     let (status, ack) = submit(
         daemon.addr,
         &submission("acme", "wedged", Some(r#"{"hang": true}"#)),
@@ -459,12 +460,24 @@ fn chaos_through_http_transient_retries_and_hang_degrades() {
     let outcome = await_job(daemon.addr, &wedged);
     assert_eq!(
         str_field(&outcome, "state"),
-        "degraded",
-        "hang degrades instead of wedging: {outcome:?}"
+        "failed",
+        "hang fails at its deadline: {outcome:?}"
     );
-    let (status, _, raw) = request(daemon.addr, "GET", &format!("/v1/artefacts/{wedged}"), None);
-    assert_eq!(status, 200, "degraded artefacts are still served");
-    assert_eq!(str_field(&json_body(&raw), "name"), "wedged");
+    let Json::Arr(attempts) = field(&outcome, "attempts") else {
+        panic!("attempt timeline: {outcome:?}");
+    };
+    let outcomes: Vec<String> = attempts.iter().map(|a| str_field(a, "outcome")).collect();
+    assert_eq!(
+        outcomes,
+        vec!["deadline"; 3],
+        "every attempt hits its deadline"
+    );
+    assert!(
+        str_field(&outcome, "error").contains("deadline"),
+        "typed deadline error: {outcome:?}"
+    );
+    let (status, _, _) = request(daemon.addr, "GET", &format!("/v1/artefacts/{wedged}"), None);
+    assert_eq!(status, 409, "no artefact for a job that hung");
 
     // A NaN poison is non-retryable: failed state, typed error, 409
     // when the artefact is requested.

@@ -207,7 +207,6 @@ pub fn run_sweep(spec: &SweepSpec, opts: &SweepOptions) -> Result<SweepResult, S
             class: "sweep-point".to_string(),
             deadline: Some(EVAL_DEADLINE),
             max_retries: 2,
-            degrade_on_exhaustion: false,
         };
         let supervised = supervisor.run(&job_spec, || {
             let compute = || {
@@ -239,12 +238,7 @@ pub fn run_sweep(spec: &SweepSpec, opts: &SweepOptions) -> Result<SweepResult, S
         match supervised.result {
             Ok((report, label)) => {
                 if let Some(journal) = &journal {
-                    let state = if supervised.degraded {
-                        ArtefactState::Degraded
-                    } else {
-                        ArtefactState::Done
-                    };
-                    journal.record_finished(&name, state, None, attempts, seconds)?;
+                    journal.record_finished(&name, ArtefactState::Done, None, attempts, seconds)?;
                 }
                 Ok(EvalOutcome {
                     point_index: eval.point_index,

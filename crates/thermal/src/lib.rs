@@ -48,14 +48,6 @@ mod model;
 mod package;
 mod transient;
 
-/// Relative CG tolerance used for steady-state solves in a declared
-/// *degraded* attempt (see `darksil_robust::is_degraded`): the loosest
-/// tolerance the robust chain's relaxed stage would accept, traded for
-/// convergence when a full-accuracy solve blew its wall-clock budget.
-/// Artefacts produced this way are tagged `"degraded": true` with this
-/// knob recorded.
-pub const DEGRADED_CG_TOLERANCE: f64 = 1.0e-6;
-
 pub use error::ThermalError;
 pub use map::ThermalMap;
 pub use model::ThermalModel;

@@ -395,8 +395,12 @@ impl ThermalModel {
         #[allow(clippy::cast_precision_loss)]
         darksil_obs::observe("thermal.solve_nodes", self.node_count() as f64);
         let rhs = self.rhs(power)?;
-        let (state, diagnostics) =
-            solve_spd_factored(self.factors.as_deref(), &self.g, &rhs, &self.cg_options())?;
+        let (state, diagnostics) = solve_spd_factored(
+            self.factors.as_deref(),
+            &self.g,
+            &rhs,
+            &CgOptions::default(),
+        )?;
         let map = self.map_from_state(state);
         if darksil_obs::events_enabled() {
             let peak = map.peak().value();
@@ -406,23 +410,6 @@ impl ThermalModel {
             });
         }
         Ok((map, diagnostics))
-    }
-
-    /// The CG configuration for steady-state solves: the strict default
-    /// normally, the declared-degraded tolerance
-    /// ([`DEGRADED_CG_TOLERANCE`](crate::DEGRADED_CG_TOLERANCE)) when
-    /// the current [`darksil_robust::RunContext`] runs a degraded
-    /// attempt — a supervisor's last resort for a solve that blew its
-    /// deadline at full accuracy.
-    fn cg_options(&self) -> CgOptions {
-        if darksil_robust::is_degraded() {
-            CgOptions {
-                tolerance: crate::DEGRADED_CG_TOLERANCE,
-                ..CgOptions::default()
-            }
-        } else {
-            CgOptions::default()
-        }
     }
 }
 

@@ -264,11 +264,10 @@ pub fn render_frame(addr: &str, samples: &[Sample], stats: &Json) -> String {
             .map_or(0, |v| v.max(0.0) as u64)
     };
     out.push_str(&format!(
-        "jobs       queued {}   running {}   done {}   degraded {}   failed {}\n",
+        "jobs       queued {}   running {}   done {}   failed {}\n",
         job("queued"),
         job("running"),
         job("done"),
-        job("degraded"),
         job("failed"),
     ));
     out.push_str(&format!(
@@ -417,7 +416,7 @@ garbage line without a number trailer\n";
             },
         ];
         let stats = darksil_json::parse(
-            r#"{"jobs": {"queued": 1, "running": 2, "done": 3, "degraded": 0, "failed": 0},
+            r#"{"jobs": {"queued": 1, "running": 2, "done": 3, "failed": 0},
                 "admitted": 5, "deduped": 2, "rejected_tenant_quota": 1,
                 "rejected_inflight": 0, "bad_requests": 0, "draining": false,
                 "factor_cache": {"hits": 8, "misses": 2, "entries": 2}}"#,
