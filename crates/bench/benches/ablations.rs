@@ -1,7 +1,7 @@
 //! Ablation benchmarks for the design choices called out in DESIGN.md:
-//! Jacobi preconditioning, backward Euler vs RK4,
-//! blind-spread vs thermally optimised patterning, and the
-//! leakage-temperature loop vs a single cold-leakage solve.
+//! backward Euler vs RK4, blind-spread vs thermally optimised
+//! patterning, and the leakage-temperature loop vs a single cold-leakage
+//! solve.
 
 use std::time::Duration;
 
@@ -9,7 +9,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use darksil_floorplan::Floorplan;
 use darksil_mapping::{optimize_pattern, spread_cores, Platform};
 use darksil_numerics::ode::LinearOde;
-use darksil_numerics::{conjugate_gradient, CgOptions, TripletMatrix};
+use darksil_numerics::TripletMatrix;
 use darksil_power::TechnologyNode;
 use darksil_thermal::{PackageConfig, ThermalModel};
 use darksil_units::{SquareMillimeters, Watts};
@@ -34,41 +34,6 @@ fn thermal_setup(cores: usize) -> (ThermalModel, Vec<Watts>) {
         })
         .collect();
     (model, power)
-}
-
-/// Jacobi preconditioning on vs off for the thermal conductance matrix.
-fn bench_preconditioner(c: &mut Criterion) {
-    let mut g = c.benchmark_group("ablation_jacobi");
-    g.warm_up_time(Duration::from_millis(300));
-    g.measurement_time(Duration::from_secs(3));
-
-    let (model, power) = thermal_setup(100);
-    let rhs: Vec<f64> = {
-        // Rebuild the rhs the way the model does: P + G_amb·T_amb.
-        let mut r: Vec<f64> = model
-            .ambient_conductances()
-            .iter()
-            .map(|gv| gv * model.ambient().value())
-            .collect();
-        for (ri, p) in r.iter_mut().zip(&power) {
-            *ri += p.value();
-        }
-        r
-    };
-    for jacobi in [true, false] {
-        let opts = CgOptions {
-            jacobi_preconditioner: jacobi,
-            ..CgOptions::default()
-        };
-        g.bench_with_input(
-            BenchmarkId::new("cg", if jacobi { "jacobi" } else { "plain" }),
-            &jacobi,
-            |b, _| {
-                b.iter(|| black_box(conjugate_gradient(model.conductance(), &rhs, &opts).unwrap()));
-            },
-        );
-    }
-    g.finish();
 }
 
 /// Backward Euler (one implicit solve) vs RK4 (four explicit
@@ -157,7 +122,6 @@ fn bench_subdivision(c: &mut Criterion) {
 
 criterion_group!(
     ablations,
-    bench_preconditioner,
     bench_be_vs_rk4,
     bench_patterning,
     bench_subdivision

@@ -130,9 +130,12 @@ impl PolicyTrace {
     }
 
     /// Total energy consumed over the run (Σ P·Δt), integrated from
-    /// t = 0. A later phase of [`crate::run_phased_boosting`] starts
-    /// mid-clock, so this charges its first sample from zero; that
-    /// phase's `boost.summary` carries the energy of its own steps.
+    /// t = 0: the first sample is charged for the whole span from zero
+    /// to its time stamp. The trace of a later phase of
+    /// [`crate::run_phased_boosting`] keeps the run's shared clock, so
+    /// its first sample is still charged from zero, not from the
+    /// phase's start; that phase's `boost.summary` event carries the
+    /// energy of its own steps.
     #[must_use]
     pub fn total_energy(&self) -> Joules {
         self.energy_since(Seconds::zero())

@@ -1,4 +1,4 @@
-//! Criterion microbenchmarks of the robust SPD solver on RC-grid
+//! Criterion microbenchmarks of the SPD solver on RC-grid
 //! systems like the thermal model's: a W×H grid Laplacian with a
 //! leak to the reference node, solved for a checkerboard load.
 
@@ -6,7 +6,7 @@ use std::hint::black_box;
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use darksil_numerics::{factor_spd, solve_spd_robust, CgOptions, CsrMatrix, TripletMatrix};
+use darksil_numerics::{factor_spd, solve_spd_factored, CsrMatrix, TripletMatrix};
 
 /// A W×H grid Laplacian: lateral conductances between 4-neighbours
 /// plus a vertical leak to the reference node, matching the structure
@@ -45,10 +45,9 @@ fn bench_solve_spd(c: &mut Criterion) {
     ] {
         let a = grid_laplacian(w, h);
         let b = checkerboard_load(w * h);
-        let options = CgOptions::default();
         g.bench_with_input(BenchmarkId::new("grid", label), &a, |bench, a| {
             bench.iter(|| {
-                let (x, diag) = solve_spd_robust(black_box(a), black_box(&b), &options)
+                let (x, diag) = solve_spd_factored(None, black_box(a), black_box(&b))
                     .expect("SPD grid system must solve");
                 black_box((x, diag))
             });
@@ -83,12 +82,11 @@ fn bench_factor_vs_cg(c: &mut Criterion) {
                     .collect()
             })
             .collect();
-        let options = CgOptions::default();
 
         g.bench_with_input(BenchmarkId::new("cg_per_rhs", label), &a, |bench, a| {
             bench.iter(|| {
                 for b in &loads {
-                    let (x, _) = solve_spd_robust(black_box(a), black_box(b), &options)
+                    let (x, _) = solve_spd_factored(None, black_box(a), black_box(b))
                         .expect("SPD grid system must solve");
                     black_box(x);
                 }
@@ -98,8 +96,9 @@ fn bench_factor_vs_cg(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("factor_once", label), &a, |bench, a| {
             bench.iter(|| {
                 let factors = factor_spd(black_box(a)).expect("grid factors");
-                let xs = factors.solve_many(black_box(&loads)).expect("batch solves");
-                black_box(xs)
+                for b in &loads {
+                    black_box(factors.solve(black_box(b)).expect("substitution solves"));
+                }
             });
         });
     }

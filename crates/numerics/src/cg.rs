@@ -1,8 +1,12 @@
-//! Preconditioned conjugate-gradient solver for SPD systems.
+//! Jacobi-preconditioned conjugate-gradient solver for SPD systems.
 
 use crate::{axpy, dot, norm2, CsrMatrix, NumericsError};
 
 /// Options controlling a conjugate-gradient solve.
+///
+/// The iteration is always Jacobi (diagonal) preconditioned: thermal
+/// conductance matrices have widely varying diagonals (die vs heat-sink
+/// nodes), where this helps substantially.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CgOptions {
     /// Relative residual tolerance: converged when
@@ -10,10 +14,6 @@ pub struct CgOptions {
     pub tolerance: f64,
     /// Hard iteration cap (defaults to `10 · n` at solve time when zero).
     pub max_iterations: usize,
-    /// Enable Jacobi (diagonal) preconditioning. Thermal conductance
-    /// matrices have widely varying diagonals (die vs heat-sink nodes),
-    /// where this helps substantially.
-    pub jacobi_preconditioner: bool,
 }
 
 impl Default for CgOptions {
@@ -21,28 +21,25 @@ impl Default for CgOptions {
         Self {
             tolerance: 1.0e-10,
             max_iterations: 0,
-            jacobi_preconditioner: true,
         }
     }
 }
 
-/// Diagnostic information from a successful CG solve.
+/// Diagnostic information from a CG run.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CgOutcome {
+pub(crate) struct CgOutcome {
     /// Iterations consumed.
-    pub iterations: usize,
+    pub(crate) iterations: usize,
     /// Final absolute residual norm.
-    pub residual: f64,
+    pub(crate) residual: f64,
 }
 
 /// Solves `A·x = b` for a symmetric positive-definite `A`.
 ///
-/// Returns the solution vector. Use [`conjugate_gradient_with_outcome`]
-/// to also retrieve iteration diagnostics.
-///
 /// # Errors
 ///
-/// Returns [`NumericsError::DimensionMismatch`] for incompatible shapes
+/// Returns [`NumericsError::DimensionMismatch`] for incompatible shapes,
+/// [`NumericsError::NonFinite`] if `b` contains NaN or infinite entries,
 /// and [`NumericsError::ConvergenceFailure`] if the tolerance is not met
 /// within the iteration cap.
 pub fn conjugate_gradient(
@@ -50,42 +47,10 @@ pub fn conjugate_gradient(
     b: &[f64],
     options: &CgOptions,
 ) -> Result<Vec<f64>, NumericsError> {
-    conjugate_gradient_with_outcome(a, b, options).map(|(x, _)| x)
-}
-
-/// Like [`conjugate_gradient`] but also returns a [`CgOutcome`].
-///
-/// # Errors
-///
-/// Same as [`conjugate_gradient`].
-pub fn conjugate_gradient_with_outcome(
-    a: &CsrMatrix,
-    b: &[f64],
-    options: &CgOptions,
-) -> Result<(Vec<f64>, CgOutcome), NumericsError> {
-    conjugate_gradient_from(a, b, None, options)
-}
-
-/// Like [`conjugate_gradient_with_outcome`] but warm-started from `x0`
-/// when one is given. Used by the robust fallback chain to resume a
-/// stalled solve from its best iterate instead of restarting at zero.
-///
-/// On failure the error carries the convergence diagnostics; the caller
-/// can retry with relaxed options or fall back to a dense factorisation.
-///
-/// # Errors
-///
-/// Same as [`conjugate_gradient`], plus [`NumericsError::DimensionMismatch`]
-/// if `x0` has the wrong length.
-pub fn conjugate_gradient_from(
-    a: &CsrMatrix,
-    b: &[f64],
-    x0: Option<&[f64]>,
-    options: &CgOptions,
-) -> Result<(Vec<f64>, CgOutcome), NumericsError> {
-    let (x, outcome, converged) = conjugate_gradient_best_effort(a, b, x0, options)?;
+    check_finite_rhs(b)?;
+    let (x, outcome, converged) = conjugate_gradient_best_effort(a, b, None, options)?;
     if converged {
-        Ok((x, outcome))
+        Ok(x)
     } else {
         Err(NumericsError::ConvergenceFailure {
             iterations: outcome.iterations,
@@ -94,17 +59,31 @@ pub fn conjugate_gradient_from(
     }
 }
 
-/// Best-effort CG: runs the iteration and returns the final iterate even
-/// when the tolerance was not met (third tuple element is `false` then).
+/// Rejects a NaN/Inf right-hand side, naming the first offending entry:
+/// unchecked, ‖b‖ = ∞ would pass the convergence test (∞ ≤ ∞) at
+/// `x = 0`, and a NaN would burn the whole iteration budget.
+pub(crate) fn check_finite_rhs(b: &[f64]) -> Result<(), NumericsError> {
+    match b.iter().position(|v| !v.is_finite()) {
+        Some(bad) => Err(NumericsError::NonFinite {
+            context: format!("right-hand side entry {bad} is {}", b[bad]),
+        }),
+        None => Ok(()),
+    }
+}
+
+/// Best-effort CG, optionally warm-started from `x0`: runs the
+/// iteration and returns the final iterate even when the tolerance was
+/// not met (third tuple element is `false` then).
 ///
 /// The robust solver chain uses this to hand a stalled iterate to the
 /// next fallback stage as a warm start instead of discarding the work.
 ///
 /// # Errors
 ///
-/// Returns [`NumericsError::DimensionMismatch`] for incompatible shapes;
-/// convergence failure is reported through the flag, not an error.
-pub fn conjugate_gradient_best_effort(
+/// Returns [`NumericsError::DimensionMismatch`] for incompatible shapes
+/// (including a wrong-length `x0`); convergence failure is reported
+/// through the flag, not an error.
+pub(crate) fn conjugate_gradient_best_effort(
     a: &CsrMatrix,
     b: &[f64],
     x0: Option<&[f64]>,
@@ -142,22 +121,14 @@ pub fn conjugate_gradient_best_effort(
     let target = options.tolerance * b_norm;
 
     // Jacobi preconditioner M⁻¹ = diag(A)⁻¹.
-    let inv_diag: Option<Vec<f64>> = if options.jacobi_preconditioner {
-        Some(
-            a.diagonal()
-                .iter()
-                .map(|&d| if d.abs() > 0.0 { 1.0 / d } else { 1.0 })
-                .collect(),
-        )
-    } else {
-        None
-    };
+    let inv_diag: Vec<f64> = a
+        .diagonal()
+        .iter()
+        .map(|&d| if d.abs() > 0.0 { 1.0 / d } else { 1.0 })
+        .collect();
     let apply_precond = |r: &[f64], z: &mut Vec<f64>| {
         z.clear();
-        match &inv_diag {
-            Some(m) => z.extend(r.iter().zip(m).map(|(ri, mi)| ri * mi)),
-            None => z.extend_from_slice(r),
-        }
+        z.extend(r.iter().zip(&inv_diag).map(|(ri, mi)| ri * mi));
     };
 
     let (mut x, mut r) = match x0 {
@@ -295,54 +266,25 @@ mod tests {
     #[test]
     fn zero_rhs_short_circuits() {
         let a = laplacian(5);
-        let (x, outcome) = conjugate_gradient_with_outcome(&a, &[0.0; 5], &CgOptions::default())
-            .expect("numerics succeed");
+        let (x, outcome, converged) =
+            conjugate_gradient_best_effort(&a, &[0.0; 5], None, &CgOptions::default())
+                .expect("numerics succeed");
+        assert!(converged);
         assert_eq!(x, vec![0.0; 5]);
         assert_eq!(outcome.iterations, 0);
     }
 
     #[test]
-    fn preconditioner_reduces_iterations_on_ill_scaled_system() {
-        // Diagonal entries differing by orders of magnitude, like die vs
-        // heat-sink nodes.
-        let n = 50;
-        let mut t = TripletMatrix::new(n, n);
-        for i in 0..n - 1 {
-            t.stamp_conductance(i, i + 1, 1.0);
+    fn non_finite_rhs_is_rejected_up_front() {
+        let a = laplacian(5);
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut b = vec![1.0; 5];
+            b[3] = bad;
+            let err = conjugate_gradient(&a, &b, &CgOptions::default())
+                .expect_err("non-finite rhs is rejected");
+            assert!(matches!(err, NumericsError::NonFinite { .. }), "{err:?}");
+            assert!(err.to_string().contains("entry 3"), "{err}");
         }
-        for i in 0..n {
-            let scale = if i % 2 == 0 { 1.0e3 } else { 1.0e-2 };
-            t.stamp_to_reference(i, scale);
-        }
-        let a = t.to_csr();
-        let b = vec![1.0; n];
-
-        let with = conjugate_gradient_with_outcome(
-            &a,
-            &b,
-            &CgOptions {
-                jacobi_preconditioner: true,
-                ..CgOptions::default()
-            },
-        )
-        .expect("test value")
-        .1;
-        let without = conjugate_gradient_with_outcome(
-            &a,
-            &b,
-            &CgOptions {
-                jacobi_preconditioner: false,
-                ..CgOptions::default()
-            },
-        )
-        .expect("test value")
-        .1;
-        assert!(
-            with.iterations <= without.iterations,
-            "jacobi {} vs plain {}",
-            with.iterations,
-            without.iterations
-        );
     }
 
     #[test]
@@ -355,7 +297,6 @@ mod tests {
             &CgOptions {
                 tolerance: 1.0e-14,
                 max_iterations: 2,
-                jacobi_preconditioner: false,
             },
         )
         .unwrap_err();

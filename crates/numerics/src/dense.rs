@@ -137,7 +137,6 @@ impl DenseMatrix {
         let n = self.rows;
         let mut lu = self.clone();
         let mut perm: Vec<usize> = (0..n).collect();
-        let mut sign = 1.0;
 
         for col in 0..n {
             // Partial pivoting: pick the largest magnitude in this column.
@@ -156,7 +155,6 @@ impl DenseMatrix {
             if pivot_row != col {
                 lu.swap_rows(col, pivot_row);
                 perm.swap(col, pivot_row);
-                sign = -sign;
             }
             let diag = lu[(col, col)];
             for r in col + 1..n {
@@ -168,7 +166,7 @@ impl DenseMatrix {
                 }
             }
         }
-        Ok(LuFactors { lu, perm, sign })
+        Ok(LuFactors { lu, perm })
     }
 
     /// Convenience: factorise and solve `A·x = b` in one call.
@@ -212,7 +210,6 @@ impl std::ops::IndexMut<(usize, usize)> for DenseMatrix {
 pub struct LuFactors {
     lu: DenseMatrix,
     perm: Vec<usize>,
-    sign: f64,
 }
 
 impl LuFactors {
@@ -249,13 +246,6 @@ impl LuFactors {
             x[i] = s / self.lu[(i, i)];
         }
         Ok(x)
-    }
-
-    /// Determinant of the factorised matrix.
-    #[must_use]
-    pub fn determinant(&self) -> f64 {
-        let n = self.lu.rows();
-        (0..n).map(|i| self.lu[(i, i)]).product::<f64>() * self.sign
     }
 }
 
@@ -305,15 +295,6 @@ mod tests {
             a.lu(),
             Err(NumericsError::DimensionMismatch { .. })
         ));
-    }
-
-    #[test]
-    fn determinant_with_permutation_sign() {
-        let a = DenseMatrix::from_rows(&[&[0.0, 1.0], &[1.0, 0.0]]);
-        let det = a.lu().expect("numerics succeed").determinant();
-        assert!((det + 1.0).abs() < 1e-12);
-        let i3 = DenseMatrix::identity(3);
-        assert!((i3.lu().expect("numerics succeed").determinant() - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -2,25 +2,21 @@
 //!
 //! The thermal RC conductance topology is fixed per floorplan — across a
 //! sweep, a fixed-point iteration, or a pattern-optimisation loop only
-//! the power right-hand side (and occasionally a few diagonal terms)
-//! change. This module exploits that structure:
+//! the power right-hand side changes. This module exploits that
+//! structure:
 //!
-//! * [`factor_spd`] runs a fill-reducing minimum-degree ordering
-//!   and a symbolic analysis **once**, producing reusable
-//!   [`SpdFactors`]; every subsequent [`SpdFactors::solve`] is a sparse
-//!   forward/diagonal/backward substitution — no iteration at all.
-//! * [`SpdFactors::refactor_diagonal`] re-runs only the numeric phase
-//!   when diagonal terms change (e.g. a convection or leakage knob),
-//!   reusing the ordering and symbolic structure.
-//! * [`SpdFactors::solve_many`] batches multi-RHS solves.
+//! * [`factor_spd`] runs a fill-reducing minimum-degree ordering, a
+//!   symbolic analysis and the numeric factorisation **once**, producing
+//!   reusable [`SpdFactors`]; every subsequent [`SpdFactors::solve`] is a
+//!   sparse forward/diagonal/backward substitution — no iteration at all.
 //! * [`FactorCache`] keys factors by a content digest of the matrix —
 //!   the same discipline as the engine's content-addressed result cache
 //!   — bounded and thread-safe, so concurrent engine jobs solving on the
 //!   same floorplan factor it exactly once per process.
-//! * [`solve_spd_cached`] is the drop-in robust entry point: factored
-//!   fast path with a residual check, falling back into the
-//!   CG → restarted-CG → dense-LU chain when the matrix cannot be
-//!   factored or the factored solution drifts.
+//! * [`solve_spd_factored`] is the one SPD-solve entry point: factored
+//!   substitution with a residual check, falling back into the
+//!   CG → restarted-CG → dense-LU chain when the matrix has no factors
+//!   or the factored solution drifts.
 //!
 //! Factorisation is deterministic, so results are byte-identical whether
 //! a factor is computed fresh or served from the cache, at any worker
@@ -30,7 +26,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use crate::robust::solve_chain_from;
+use crate::robust::{record_diagnostics, solve_chain_from};
 use crate::{norm2, CgOptions, CsrMatrix, NumericsError, SolveDiagnostics, SolveStage};
 
 /// Sentinel for "no parent" in the elimination tree.
@@ -120,36 +116,22 @@ fn min_degree_order(a: &CsrMatrix) -> Vec<usize> {
 /// A reusable sparse LDLᵀ factorisation `P·A·Pᵀ = L·D·Lᵀ` of a symmetric
 /// positive-definite matrix.
 ///
-/// Produced by [`factor_spd`]. The fill-reducing ordering and symbolic
-/// analysis are done once at construction; [`SpdFactors::solve`] and
-/// [`SpdFactors::solve_many`] are pure substitutions, and
-/// [`SpdFactors::refactor_diagonal`] re-runs only the numeric phase when
-/// diagonal entries change.
+/// Produced by [`factor_spd`], which does the fill-reducing ordering,
+/// symbolic analysis and numeric factorisation once;
+/// [`SpdFactors::solve`] is a pure substitution.
 #[derive(Debug, Clone)]
 pub struct SpdFactors {
     n: usize,
     /// `perm[new] = old`.
     perm: Vec<usize>,
-    /// Elimination tree over permuted indices (`NONE` = root).
-    parent: Vec<usize>,
-    /// Permuted upper triangle of `A` in compressed-column form (the
-    /// numeric phase's input; kept so diagonal updates can refactor
-    /// without the original matrix).
-    b_colptr: Vec<usize>,
-    b_rowidx: Vec<usize>,
-    b_values: Vec<f64>,
-    /// Position of each diagonal entry in `b_values`, by permuted index.
-    diag_pos: Vec<usize>,
     /// `L` (unit diagonal, strictly-lower part) in compressed-column form.
     l_colptr: Vec<usize>,
     /// Row indices are stored narrow (`u32`) to halve the memory the
     /// substitution loops stream per solve.
     l_rowidx: Vec<u32>,
     l_values: Vec<f64>,
-    /// The diagonal matrix `D`.
-    d: Vec<f64>,
-    /// Reciprocals of `d`, precomputed so the solve hot loop multiplies
-    /// instead of divides.
+    /// Reciprocals of the diagonal matrix `D`, precomputed so the solve
+    /// hot loop multiplies instead of divides.
     d_inv: Vec<f64>,
     /// First column of the dense trailing block. Minimum-degree pushes
     /// fill towards the end of the order; once the tail is at least half
@@ -181,22 +163,6 @@ impl SpdFactors {
     #[must_use]
     pub fn nnz_l(&self) -> usize {
         self.l_values.len()
-    }
-
-    /// First column (permuted order) of the packed dense trailing
-    /// block, or `dimension()` when no tail qualified. Diagnostic.
-    #[must_use]
-    pub fn dense_block_start(&self) -> usize {
-        self.dense_start
-    }
-
-    /// Stored entries of `L` per column (permuted order) — the fill
-    /// profile, useful for ordering diagnostics.
-    #[must_use]
-    pub fn column_fill_profile(&self) -> Vec<usize> {
-        (0..self.n)
-            .map(|j| self.l_colptr[j + 1] - self.l_colptr[j])
-            .collect()
     }
 
     /// Solves `A·x = b` by permuted forward/diagonal/backward
@@ -280,47 +246,8 @@ impl SpdFactors {
         Ok(out)
     }
 
-    /// Solves one factored system for many right-hand sides — the
-    /// batched form of [`SpdFactors::solve`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NumericsError::DimensionMismatch`] if any right-hand
-    /// side has the wrong length.
-    pub fn solve_many<B: AsRef<[f64]>>(&self, rhs: &[B]) -> Result<Vec<Vec<f64>>, NumericsError> {
-        rhs.iter().map(|b| self.solve(b.as_ref())).collect()
-    }
-
-    /// Replaces the matrix diagonal (given in original node order) and
-    /// re-runs the numeric factorisation, reusing the ordering and
-    /// symbolic structure. Exactly equivalent to factoring the updated
-    /// matrix from scratch, at a fraction of the cost.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NumericsError::DimensionMismatch`] for a wrong-length
-    /// diagonal, [`NumericsError::NonFinite`] for NaN/Inf entries, and
-    /// [`NumericsError::SingularMatrix`] when the updated matrix is no
-    /// longer positive definite.
-    pub fn refactor_diagonal(&mut self, diag: &[f64]) -> Result<(), NumericsError> {
-        if diag.len() != self.n {
-            return Err(NumericsError::DimensionMismatch {
-                context: format!("diagonal has {} entries, matrix has {}", diag.len(), self.n),
-            });
-        }
-        if let Some(bad) = diag.iter().position(|v| !v.is_finite()) {
-            return Err(NumericsError::NonFinite {
-                context: format!("diagonal entry {bad} is {}", diag[bad]),
-            });
-        }
-        for (k, &pos) in self.diag_pos.iter().enumerate() {
-            self.b_values[pos] = diag[self.perm[k]];
-        }
-        self.numeric()
-    }
-
     /// Chooses the dense trailing block and packs its columns from the
-    /// just-computed sparse factor. Runs after every numeric phase.
+    /// just-computed sparse factor.
     #[allow(clippy::cast_precision_loss)]
     fn pack_dense(&mut self) {
         let n = self.n;
@@ -338,8 +265,7 @@ impl SpdFactors {
         }
         self.dense_start = start;
         let total: usize = (start..n).map(|j| n - 1 - j).sum();
-        self.dense_cols.clear();
-        self.dense_cols.resize(total, 0.0);
+        self.dense_cols = vec![0.0; total];
         let mut off = 0;
         for j in start..n {
             for p in self.l_colptr[j]..self.l_colptr[j + 1] {
@@ -349,70 +275,6 @@ impl SpdFactors {
             off += n - 1 - j;
         }
     }
-
-    /// The numeric phase of up-looking sparse LDLᵀ over the stored
-    /// permuted upper triangle, following the classic `LDL` elimination
-    /// (Davis): for each row `k`, scatter the upper column into a dense
-    /// work vector, walk the elimination tree for the row pattern, and
-    /// eliminate in topological order.
-    fn numeric(&mut self) -> Result<(), NumericsError> {
-        let n = self.n;
-        let mut y = vec![0.0; n];
-        let mut pattern = vec![0_usize; n];
-        let mut flag = vec![NONE; n];
-        let mut lnz = vec![0_usize; n];
-        self.l_values.clear();
-        self.l_values.resize(self.l_rowidx.len(), 0.0);
-
-        for k in 0..n {
-            let mut top = n;
-            flag[k] = k;
-            for p in self.b_colptr[k]..self.b_colptr[k + 1] {
-                let mut i = self.b_rowidx[p];
-                y[i] += self.b_values[p];
-                // Row pattern: path from i up the elimination tree.
-                let mut len = 0;
-                while flag[i] != k {
-                    pattern[len] = i;
-                    len += 1;
-                    flag[i] = k;
-                    i = self.parent[i];
-                }
-                while len > 0 {
-                    len -= 1;
-                    top -= 1;
-                    pattern[top] = pattern[len];
-                }
-            }
-            let mut dk = y[k];
-            y[k] = 0.0;
-            for &i in &pattern[top..n] {
-                let yi = y[i];
-                y[i] = 0.0;
-                let p2 = self.l_colptr[i] + lnz[i];
-                for p in self.l_colptr[i]..p2 {
-                    y[self.l_rowidx[p] as usize] -= self.l_values[p] * yi;
-                }
-                let l_ki = yi / self.d[i];
-                dk -= l_ki * yi;
-                #[allow(clippy::cast_possible_truncation)] // n ≤ u32::MAX checked at entry
-                {
-                    self.l_rowidx[p2] = k as u32;
-                }
-                self.l_values[p2] = l_ki;
-                lnz[i] += 1;
-            }
-            if !(dk.is_finite() && dk > 0.0) {
-                return Err(NumericsError::SingularMatrix {
-                    pivot: self.perm[k],
-                });
-            }
-            self.d[k] = dk;
-            self.d_inv[k] = 1.0 / dk;
-        }
-        self.pack_dense();
-        Ok(())
-    }
 }
 
 /// Factorises a sparse symmetric positive-definite matrix as
@@ -420,9 +282,7 @@ impl SpdFactors {
 /// analysis, then the numeric factorisation.
 ///
 /// The result is reusable: solve any number of right-hand sides with
-/// [`SpdFactors::solve`] / [`SpdFactors::solve_many`], and absorb
-/// diagonal-only matrix updates with [`SpdFactors::refactor_diagonal`]
-/// without repeating the symbolic work.
+/// [`SpdFactors::solve`].
 ///
 /// # Errors
 ///
@@ -481,19 +341,17 @@ pub fn factor_spd(a: &CsrMatrix) -> Result<SpdFactors, NumericsError> {
     let mut b_colptr = vec![0_usize; n + 1];
     let mut b_rowidx = Vec::with_capacity(upper.len());
     let mut b_values = Vec::with_capacity(upper.len());
-    let mut diag_pos = vec![NONE; n];
+    let mut has_diag = vec![false; n];
     for &(c, r, v) in &upper {
         b_colptr[c + 1] += 1;
-        if r == c {
-            diag_pos[c] = b_rowidx.len();
-        }
+        has_diag[c] |= r == c;
         b_rowidx.push(r);
         b_values.push(v);
     }
     for c in 0..n {
         b_colptr[c + 1] += b_colptr[c];
     }
-    if let Some(k) = diag_pos.iter().position(|&p| p == NONE) {
+    if let Some(k) = has_diag.iter().position(|&d| !d) {
         // A structurally missing diagonal cannot be positive definite.
         return Err(NumericsError::SingularMatrix { pivot: perm[k] });
     }
@@ -522,23 +380,75 @@ pub fn factor_spd(a: &CsrMatrix) -> Result<SpdFactors, NumericsError> {
     }
     let nnz_l = l_colptr[n];
 
+    // Numeric phase: up-looking sparse LDLᵀ over the permuted upper
+    // triangle, following the classic `LDL` elimination (Davis): for
+    // each row `k`, scatter the upper column into a dense work vector,
+    // walk the elimination tree for the row pattern, and eliminate in
+    // topological order.
+    let mut l_rowidx = vec![0_u32; nnz_l];
+    let mut l_values = vec![0.0; nnz_l];
+    let mut d = vec![0.0; n];
+    let mut d_inv = vec![0.0; n];
+    let mut y = vec![0.0; n];
+    let mut pattern = vec![0_usize; n];
+    flag.fill(NONE);
+    lnz.fill(0);
+    for k in 0..n {
+        let mut top = n;
+        flag[k] = k;
+        for p in b_colptr[k]..b_colptr[k + 1] {
+            let mut i = b_rowidx[p];
+            y[i] += b_values[p];
+            // Row pattern: path from i up the elimination tree.
+            let mut len = 0;
+            while flag[i] != k {
+                pattern[len] = i;
+                len += 1;
+                flag[i] = k;
+                i = parent[i];
+            }
+            while len > 0 {
+                len -= 1;
+                top -= 1;
+                pattern[top] = pattern[len];
+            }
+        }
+        let mut dk = y[k];
+        y[k] = 0.0;
+        for &i in &pattern[top..n] {
+            let yi = y[i];
+            y[i] = 0.0;
+            let p2 = l_colptr[i] + lnz[i];
+            for p in l_colptr[i]..p2 {
+                y[l_rowidx[p] as usize] -= l_values[p] * yi;
+            }
+            let l_ki = yi / d[i];
+            dk -= l_ki * yi;
+            #[allow(clippy::cast_possible_truncation)] // n ≤ u32::MAX checked at entry
+            {
+                l_rowidx[p2] = k as u32;
+            }
+            l_values[p2] = l_ki;
+            lnz[i] += 1;
+        }
+        if !(dk.is_finite() && dk > 0.0) {
+            return Err(NumericsError::SingularMatrix { pivot: perm[k] });
+        }
+        d[k] = dk;
+        d_inv[k] = 1.0 / dk;
+    }
+
     let mut factors = SpdFactors {
         n,
         perm,
-        parent,
-        b_colptr,
-        b_rowidx,
-        b_values,
-        diag_pos,
         l_colptr,
-        l_rowidx: vec![0; nnz_l],
-        l_values: vec![0.0; nnz_l],
-        d: vec![0.0; n],
-        d_inv: vec![0.0; n],
+        l_rowidx,
+        l_values,
+        d_inv,
         dense_start: n,
         dense_cols: Vec::new(),
     };
-    factors.numeric()?;
+    factors.pack_dense();
     Ok(factors)
 }
 
@@ -550,8 +460,7 @@ pub fn factor_spd(a: &CsrMatrix) -> Result<SpdFactors, NumericsError> {
 /// value bits. Two matrices share a digest exactly when they are
 /// entry-for-entry identical — the cache key discipline of the engine's
 /// content-addressed result cache.
-#[must_use]
-pub fn matrix_digest(a: &CsrMatrix) -> u64 {
+fn matrix_digest(a: &CsrMatrix) -> u64 {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x0000_0100_0000_01b3;
     let mut h = OFFSET;
@@ -594,7 +503,7 @@ struct CacheInner {
 }
 
 /// A bounded, thread-safe cache of [`SpdFactors`] keyed by matrix
-/// content digest ([`matrix_digest`]).
+/// content digest (FNV-1a over dimensions, pattern and value bits).
 ///
 /// Factorisation happens under the cache lock, so concurrent solvers on
 /// the same matrix factor it exactly once and hit/miss counts are
@@ -633,8 +542,8 @@ impl FactorCache {
         }
     }
 
-    /// The process-global cache used by [`solve_spd_cached`] and the
-    /// backward-Euler stepper.
+    /// The process-global cache the thermal model and the backward-Euler
+    /// stepper resolve their factors through.
     pub fn global() -> &'static Self {
         static GLOBAL: OnceLock<FactorCache> = OnceLock::new();
         GLOBAL.get_or_init(|| Self::new(GLOBAL_CACHE_CAPACITY))
@@ -711,57 +620,44 @@ pub fn factor_cache_stats() -> FactorCacheStats {
 }
 
 // ---------------------------------------------------------------------------
-// Cached robust solve
+// The SPD-solve entry point
 // ---------------------------------------------------------------------------
 
-/// Solves `A·x = b` through the factor-cached fast path with a residual
-/// check, falling back to the CG → restarted-CG → dense-LU chain when
-/// the matrix is not factorable or the factored solution drifts.
-///
-/// # Errors
-///
-/// Same as [`crate::solve_spd_robust`] — the factored path itself never
-/// errors for well-posed inputs; it declines and the chain takes over.
-pub fn solve_spd_cached(
-    a: &CsrMatrix,
-    b: &[f64],
-    options: &CgOptions,
-) -> Result<(Vec<f64>, SolveDiagnostics), NumericsError> {
-    let factors = if b.len() == a.rows() {
-        FactorCache::global().get_or_factor(a)
-    } else {
-        None
-    };
-    solve_spd_factored(factors.as_deref(), a, b, options)
-}
-
-/// The factor-cached solve with caller-resolved factors — the hot-loop
-/// form of [`solve_spd_cached`] for callers that hold their own
-/// [`SpdFactors`] (e.g. a thermal model solving hundreds of loads on
-/// one matrix), skipping the per-solve digest and cache lookup.
+/// Solves `A·x = b` by substitution through caller-resolved `factors`
+/// (e.g. a thermal model solving hundreds of loads on one matrix holds
+/// its own, skipping a per-solve digest and cache lookup), falling back
+/// to the CG → restarted-CG → dense-LU chain.
 ///
 /// `factors` of `None` (matrix unfactorable or not resolved) goes
-/// straight to the CG → restarted-CG → dense-LU chain. Factored
-/// solutions are residual-checked against `options.tolerance`; on drift
-/// the chain takes over, seeded from the factored iterate.
+/// straight to the chain. Factored solutions are residual-checked
+/// against the default CG tolerance; on drift the chain takes over,
+/// seeded from the factored iterate.
 ///
 /// # Errors
 ///
-/// Same as [`crate::solve_spd_robust`].
+/// The factored path itself never errors for well-posed inputs; it
+/// declines and the chain takes over, which returns:
+///
+/// - [`NumericsError::NonFinite`] if the matrix or right-hand side
+///   contains NaN or infinite entries (naming the offending position).
+/// - [`NumericsError::DimensionMismatch`] for incompatible shapes.
+/// - [`NumericsError::ConvergenceFailure`] or
+///   [`NumericsError::SingularMatrix`] only when every stage, including
+///   dense LU, failed.
 pub fn solve_spd_factored(
     factors: Option<&SpdFactors>,
     a: &CsrMatrix,
     b: &[f64],
-    options: &CgOptions,
 ) -> Result<(Vec<f64>, SolveDiagnostics), NumericsError> {
     let _span = darksil_obs::span("numerics.solve_spd");
     #[allow(clippy::cast_precision_loss)]
     darksil_obs::observe("numerics.solve_rows", a.rows() as f64);
 
+    let options = CgOptions::default();
     let mut drift_iterate: Option<Vec<f64>> = None;
     if let Some(factors) = factors.filter(|f| f.dimension() == b.len()) {
         let x = factors.solve(b)?;
-        let residual = residual_norm(a, &x, b);
+        let residual = a.residual_norm(&x, b);
         let target = options.tolerance * norm2(b);
         if x.iter().all(|v| v.is_finite()) && residual <= target.max(f64::MIN_POSITIVE) {
             let diagnostics = SolveDiagnostics {
@@ -770,7 +666,7 @@ pub fn solve_spd_factored(
                 residual,
                 fallbacks: 0,
             };
-            crate::robust::record_diagnostics(&diagnostics);
+            record_diagnostics(&diagnostics);
             return Ok((x, diagnostics));
         }
         // Drift: hand the factored iterate to the chain as a seed —
@@ -780,22 +676,17 @@ pub fn solve_spd_factored(
             drift_iterate = Some(x);
         }
     }
-    let result = solve_chain_from(a, b, drift_iterate.as_deref(), options);
+    let result = solve_chain_from(a, b, drift_iterate.as_deref(), &options);
     if let Ok((_, diagnostics)) = &result {
-        crate::robust::record_diagnostics(diagnostics);
+        record_diagnostics(diagnostics);
     }
     result
-}
-
-/// `‖b − A·x‖₂`, computed without allocating an intermediate `A·x`.
-fn residual_norm(a: &CsrMatrix, x: &[f64], b: &[f64]) -> f64 {
-    a.residual_norm(x, b)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{solve_spd_robust, TripletMatrix};
+    use crate::TripletMatrix;
 
     /// A W×H RC-grid Laplacian with a leak to the reference node — the
     /// shape of every thermal conductance matrix in this workspace.
@@ -821,30 +712,22 @@ mod tests {
         (0..n).map(|i| ((i * 7) % 5) as f64 - 1.0).collect()
     }
 
+    /// `a`'s factors from a test-local cache, as a caller would hold them.
+    fn local_factors(a: &CsrMatrix) -> Option<Arc<SpdFactors>> {
+        FactorCache::new(1).get_or_factor(a)
+    }
+
     #[test]
     fn factored_solve_matches_robust_chain() {
         let a = grid_laplacian(8, 8);
         let b = rhs(64);
         let f = factor_spd(&a).expect("grid is SPD");
         let x = f.solve(&b).expect("solve succeeds");
-        let (x_cg, _) = solve_spd_robust(&a, &b, &CgOptions::default()).expect("cg solves");
+        let (x_cg, _) = solve_spd_factored(None, &a, &b).expect("cg solves");
         for (a_, b_) in x.iter().zip(&x_cg) {
             assert!((a_ - b_).abs() < 1e-7, "{a_} vs {b_}");
         }
-        assert!(residual_norm(&a, &x, &b) < 1e-10 * norm2(&b).max(1.0));
-    }
-
-    #[test]
-    fn solve_many_matches_individual_solves() {
-        let a = grid_laplacian(5, 4);
-        let f = factor_spd(&a).expect("grid is SPD");
-        let rhss: Vec<Vec<f64>> = (0..4)
-            .map(|k| (0..20).map(|i| ((i + k) % 3) as f64).collect())
-            .collect();
-        let batch = f.solve_many(&rhss).expect("batch solves");
-        for (b, x) in rhss.iter().zip(&batch) {
-            assert_eq!(x, &f.solve(b).expect("solve succeeds"));
-        }
+        assert!(a.residual_norm(&x, &b) < 1e-10 * norm2(&b).max(1.0));
     }
 
     #[test]
@@ -871,33 +754,6 @@ mod tests {
             "excessive fill: {} entries in L",
             f.nnz_l()
         );
-    }
-
-    #[test]
-    fn diagonal_refactor_matches_from_scratch() {
-        let a = grid_laplacian(7, 5);
-        let mut f = factor_spd(&a).expect("grid is SPD");
-        // Bump every diagonal entry (e.g. a changed convection term).
-        let new_diag: Vec<f64> = a
-            .diagonal()
-            .iter()
-            .enumerate()
-            .map(|(i, d)| d + 0.1 + (i % 3) as f64 * 0.05)
-            .collect();
-        f.refactor_diagonal(&new_diag).expect("refactor succeeds");
-
-        let mut t = TripletMatrix::new(35, 35);
-        for (r, c, v) in a.iter() {
-            if r != c {
-                t.add(r, c, v);
-            }
-        }
-        for (i, &d) in new_diag.iter().enumerate() {
-            t.add(i, i, d);
-        }
-        let fresh = factor_spd(&t.to_csr()).expect("updated grid is SPD");
-        assert_eq!(f.l_values, fresh.l_values);
-        assert_eq!(f.d, fresh.d);
     }
 
     #[test]
@@ -942,11 +798,6 @@ mod tests {
             f.solve(&[1.0; 4]),
             Err(NumericsError::DimensionMismatch { .. })
         ));
-        let mut f2 = f;
-        assert!(matches!(
-            f2.refactor_diagonal(&[1.0; 4]),
-            Err(NumericsError::DimensionMismatch { .. })
-        ));
     }
 
     #[test]
@@ -982,37 +833,41 @@ mod tests {
     }
 
     #[test]
-    fn cached_solve_agrees_with_robust_and_reports_factored_stage() {
+    fn factored_solve_agrees_with_the_chain_and_reports_factored_stage() {
         let a = grid_laplacian(9, 9);
         let b = rhs(81);
-        let (x, diag) = solve_spd_cached(&a, &b, &CgOptions::default()).expect("solves");
+        let factors = local_factors(&a);
+        let (x, diag) = solve_spd_factored(factors.as_deref(), &a, &b).expect("solves");
         assert_eq!(diag.stage, SolveStage::Factored);
         assert_eq!(diag.cg_iterations, 0);
-        let (x_cg, _) = solve_spd_robust(&a, &b, &CgOptions::default()).expect("cg solves");
+        let (x_cg, _) = solve_spd_factored(None, &a, &b).expect("cg solves");
         for (a_, b_) in x.iter().zip(&x_cg) {
             assert!((a_ - b_).abs() < 1e-7);
         }
     }
 
     #[test]
-    fn cached_solve_falls_back_on_unfactorable_input() {
+    fn factored_solve_falls_back_on_unfactorable_input() {
         // Negative definite: the factor path declines, dense LU rescues.
         let mut t = TripletMatrix::new(2, 2);
         t.add(0, 0, -1.0);
         t.add(1, 1, -1.0);
         let a = t.to_csr();
-        let (x, diag) = solve_spd_cached(&a, &[3.0, 3.0], &CgOptions::default()).expect("lu");
+        let factors = local_factors(&a);
+        assert!(factors.is_none());
+        let (x, diag) = solve_spd_factored(factors.as_deref(), &a, &[3.0, 3.0]).expect("lu");
         assert_eq!(diag.stage, SolveStage::DenseLu);
         assert!((x[0] + 3.0).abs() < 1e-9);
     }
 
     #[test]
-    fn cached_solve_rejects_nan_rhs() {
+    fn factored_solve_rejects_nan_rhs() {
         let a = grid_laplacian(3, 3);
         let mut b = vec![1.0; 9];
         b[4] = f64::NAN;
+        let factors = local_factors(&a);
         assert!(matches!(
-            solve_spd_cached(&a, &b, &CgOptions::default()),
+            solve_spd_factored(factors.as_deref(), &a, &b),
             Err(NumericsError::NonFinite { .. })
         ));
     }

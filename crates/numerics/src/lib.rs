@@ -5,37 +5,36 @@
 //! integrate stiff linear ODEs (transient turbo-boost simulations), and
 //! the power crate fits Eq. (1) of the paper to sampled data. Rather than
 //! pull in a linear-algebra dependency, this crate provides exactly the
-//! kernels needed, organised around **two solve paths**:
+//! kernels needed, organised around **one factored solve entry plus its
+//! fallback chain**:
 //!
-//! # The factor-cached fast path
+//! # The factored solve
 //!
 //! The RC conductance topology is fixed per floorplan — across a sweep,
 //! a leakage fixed point, or a placement-optimisation loop only the
 //! power right-hand side changes. [`factor_spd`] pays for a
-//! fill-reducing ordering and symbolic analysis **once**, returning
-//! reusable [`SpdFactors`] whose [`solve`](SpdFactors::solve) /
-//! [`solve_many`](SpdFactors::solve_many) are pure sparse
-//! substitutions, and whose
-//! [`refactor_diagonal`](SpdFactors::refactor_diagonal) absorbs
-//! diagonal-only matrix updates without repeating the symbolic work.
+//! fill-reducing ordering, symbolic analysis and numeric factorisation
+//! **once**, returning reusable [`SpdFactors`] whose
+//! [`solve`](SpdFactors::solve) is a pure sparse substitution.
 //! [`FactorCache`] keys factors by content digest (bounded,
-//! thread-safe), and [`solve_spd_cached`] is the drop-in entry point:
-//! factored solve + residual check, falling back to the robust chain
-//! when the matrix is unfactorable or the solution drifts.
+//! thread-safe), and [`solve_spd_factored`] is the one SPD-solve entry
+//! point: factored solve + residual check, falling back to the chain
+//! below when the matrix has no factors or the solution drifts.
 //!
-//! # The robust iterative path
+//! # The fallback chain
 //!
-//! [`solve_spd_robust`] runs Jacobi-preconditioned
-//! [`conjugate_gradient`], escalating to restarted CG and finally dense
-//! LU ([`DenseMatrix`], [`LuFactors`]) so callers always get a finite
-//! answer or a typed error. The chain is also the factored path's
-//! drift recovery: a factored solution that fails its residual check
-//! seeds the first CG attempt (counted as `numerics.warm_start`),
-//! guarded so a seed never returns a worse residual than a cold start.
+//! Jacobi-preconditioned conjugate gradient, escalating to restarted CG
+//! and finally dense LU ([`DenseMatrix`], [`LuFactors`]), so callers
+//! always get a finite answer or a typed error. A factored solution that
+//! fails its residual check seeds the first CG attempt (counted as
+//! `numerics.warm_start`), guarded so a seed never returns a worse
+//! residual than a cold start. The backward-Euler stepper enters the
+//! same chain when a factored step fails.
 //!
 //! Supporting kernels: [`CsrMatrix`] / [`TripletMatrix`] sparse
 //! storage, [`ode`] backward-Euler / RK4 steppers for
-//! `C·dx/dt = b − G·x`, and [`fit_least_squares`] linear least squares.
+//! `C·dx/dt = b − G·x`, a standalone [`conjugate_gradient`], and
+//! [`fit_least_squares`] linear least squares.
 //!
 //! # Examples
 //!
@@ -59,21 +58,19 @@
 //! let factors = factor_spd(&g)?;
 //!
 //! // Every subsequent right-hand side is a cheap substitution.
-//! let loads: Vec<Vec<f64>> = (0..4)
-//!     .map(|k| (0..n).map(|i| ((i + k) % 3) as f64).collect())
-//!     .collect();
-//! let temps = factors.solve_many(&loads)?;
-//! for (b, x) in loads.iter().zip(&temps) {
-//!     let r = g.mul_vec(x);
-//!     assert!(r.iter().zip(b).all(|(ri, bi)| (ri - bi).abs() < 1e-9));
+//! for k in 0..4 {
+//!     let b: Vec<f64> = (0..n).map(|i| ((i + k) % 3) as f64).collect();
+//!     let x = factors.solve(&b)?;
+//!     let r = g.mul_vec(&x);
+//!     assert!(r.iter().zip(&b).all(|(ri, bi)| (ri - bi).abs() < 1e-9));
 //! }
 //! # Ok::<(), darksil_numerics::NumericsError>(())
 //! ```
 //!
-//! The robust iterative path for one-off systems:
+//! The checked entry point, here without factors, so the chain solves:
 //!
 //! ```
-//! use darksil_numerics::{TripletMatrix, conjugate_gradient, CgOptions};
+//! use darksil_numerics::{solve_spd_factored, SolveStage, TripletMatrix};
 //!
 //! // A tiny SPD system: [[4,1],[1,3]] x = [1,2]
 //! let mut t = TripletMatrix::new(2, 2);
@@ -82,7 +79,8 @@
 //! t.add(1, 0, 1.0);
 //! t.add(1, 1, 3.0);
 //! let a = t.to_csr();
-//! let x = conjugate_gradient(&a, &[1.0, 2.0], &CgOptions::default())?;
+//! let (x, diagnostics) = solve_spd_factored(None, &a, &[1.0, 2.0])?;
+//! assert_eq!(diagnostics.stage, SolveStage::Cg);
 //! assert!((a.mul_vec(&x)[0] - 1.0).abs() < 1e-8);
 //! # Ok::<(), darksil_numerics::NumericsError>(())
 //! ```
@@ -95,21 +93,17 @@ mod error;
 pub mod factor;
 mod lstsq;
 pub mod ode;
-pub mod robust;
+mod robust;
 mod sparse;
 
-pub use cg::{
-    conjugate_gradient, conjugate_gradient_best_effort, conjugate_gradient_from,
-    conjugate_gradient_with_outcome, CgOptions, CgOutcome,
-};
+pub use cg::{conjugate_gradient, CgOptions};
 pub use dense::{DenseMatrix, LuFactors};
 pub use error::NumericsError;
 pub use factor::{
-    factor_cache_stats, factor_spd, matrix_digest, solve_spd_cached, solve_spd_factored,
-    FactorCache, FactorCacheStats, SpdFactors,
+    factor_cache_stats, factor_spd, solve_spd_factored, FactorCache, FactorCacheStats, SpdFactors,
 };
 pub use lstsq::{fit_least_squares, polynomial_fit};
-pub use robust::{solve_spd_robust, SolveDiagnostics, SolveStage};
+pub use robust::{SolveDiagnostics, SolveStage};
 pub use sparse::{CsrMatrix, TripletMatrix};
 
 /// Euclidean norm of a vector.

@@ -9,8 +9,8 @@
 
 use std::sync::{Arc, OnceLock};
 
-use crate::factor::{FactorCache, SpdFactors};
-use crate::{conjugate_gradient, CgOptions, CsrMatrix, NumericsError, TripletMatrix};
+use crate::factor::{solve_spd_factored, FactorCache, SpdFactors};
+use crate::{CsrMatrix, NumericsError, TripletMatrix};
 
 /// A linear first-order system `C·dx/dt = b − G·x` with diagonal `C`.
 #[derive(Debug, Clone)]
@@ -135,15 +135,16 @@ impl LinearOde {
 /// The implicit matrix `(C/dt + G)` is fixed for the stepper's lifetime,
 /// so the first [`BackwardEuler::step`] factors it through the global
 /// [`FactorCache`]; every subsequent step is a sparse substitution. When
-/// the matrix cannot be factored the stepper transparently falls back to
-/// conjugate gradient per step.
+/// the matrix cannot be factored, or a substituted step is not finite,
+/// the step goes through the CG → restarted-CG → dense-LU chain of
+/// [`solve_spd_factored`].
 #[derive(Debug, Clone)]
 pub struct BackwardEuler {
     system: CsrMatrix,
     c_over_dt: Vec<f64>,
     dt: f64,
     /// Lazily-resolved cached factors: `None` inside means the matrix was
-    /// tried and is not factorable (use CG per step).
+    /// tried and is not factorable (every step goes through the chain).
     factors: OnceLock<Option<Arc<SpdFactors>>>,
 }
 
@@ -159,7 +160,8 @@ impl BackwardEuler {
     /// # Errors
     ///
     /// Propagates solver failures from the inner solve (factored fast
-    /// path with conjugate-gradient fallback).
+    /// path with the fallback chain), including
+    /// [`NumericsError::NonFinite`] for a NaN/Inf input or state.
     ///
     /// # Panics
     ///
@@ -182,7 +184,7 @@ impl BackwardEuler {
                 return Ok(x_next);
             }
         }
-        conjugate_gradient(&self.system, &rhs, &CgOptions::default())
+        solve_spd_factored(None, &self.system, &rhs).map(|(x_next, _)| x_next)
     }
 }
 
@@ -260,6 +262,19 @@ mod tests {
         for (a, b) in x_be.iter().zip(&x_rk) {
             assert!((a - b).abs() < 1e-2, "{a} vs {b}");
         }
+    }
+
+    #[test]
+    fn unfactorable_stepper_steps_through_the_chain() {
+        // C/dt + G = 1 − 10 < 0: the factorisation declines and CG breaks
+        // down, so only the chain's dense LU can take the step.
+        let mut t = TripletMatrix::new(1, 1);
+        t.add(0, 0, -10.0);
+        let sys = LinearOde::new(t.to_csr(), vec![1.0]).expect("numerics succeed");
+        let stepper = sys.backward_euler(1.0).expect("numerics succeed");
+        let x = stepper.step(&[2.0], &[7.0]).expect("chain takes the step");
+        // (1·2 + 7) / (1 − 10) = −1.
+        assert!((x[0] + 1.0).abs() < 1e-12, "got {}", x[0]);
     }
 
     #[test]

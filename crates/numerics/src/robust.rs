@@ -1,6 +1,11 @@
-//! Robust SPD solve with a staged fallback chain.
+//! The staged fallback chain behind every SPD solve.
 //!
-//! Stage 1 runs Jacobi-preconditioned CG with the caller's options.
+//! [`crate::solve_spd_factored`] enters it when the matrix has no
+//! factors or a factored solution drifts; the backward-Euler stepper
+//! calls that entry without factors when a factored step is not finite
+//! or its matrix cannot be factored.
+//!
+//! Stage 1 runs Jacobi-preconditioned CG with the default options.
 //! Stage 2 restarts CG from the stalled iterate with a relaxed tolerance
 //! and a doubled iteration budget. Stage 3 abandons iteration entirely
 //! and factorises the (small, by then known-finite) system densely.
@@ -8,7 +13,7 @@
 //! even LU cannot produce a finite solution, and the returned
 //! [`SolveDiagnostics`] record which stage produced the answer.
 
-use crate::cg::conjugate_gradient_best_effort;
+use crate::cg::{check_finite_rhs, conjugate_gradient_best_effort};
 use crate::{norm2, CgOptions, CsrMatrix, NumericsError};
 
 /// How much stage 2 relaxes the requested tolerance.
@@ -29,20 +34,7 @@ pub enum SolveStage {
     DenseLu,
 }
 
-impl SolveStage {
-    /// Stable lower-case label for logs and reports.
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            Self::Factored => "factored",
-            Self::Cg => "cg",
-            Self::RestartedCg => "restarted_cg",
-            Self::DenseLu => "dense_lu",
-        }
-    }
-}
-
-/// Diagnostics attached to every robust solve.
+/// Diagnostics attached to every SPD solve.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SolveDiagnostics {
     /// Stage that produced the returned solution.
@@ -55,35 +47,9 @@ pub struct SolveDiagnostics {
     pub fallbacks: usize,
 }
 
-/// Solves `A·x = b` through the CG → restarted CG → dense LU chain.
-///
-/// # Errors
-///
-/// - [`NumericsError::NonFinite`] if the matrix or right-hand side
-///   contains NaN or infinite entries (checked up front, naming the
-///   offending position).
-/// - [`NumericsError::DimensionMismatch`] for incompatible shapes.
-/// - [`NumericsError::ConvergenceFailure`] or
-///   [`NumericsError::SingularMatrix`] only when every stage, including
-///   dense LU, failed.
-pub fn solve_spd_robust(
-    a: &CsrMatrix,
-    b: &[f64],
-    options: &CgOptions,
-) -> Result<(Vec<f64>, SolveDiagnostics), NumericsError> {
-    let _span = darksil_obs::span("numerics.solve_spd");
-    #[allow(clippy::cast_precision_loss)]
-    darksil_obs::observe("numerics.solve_rows", a.rows() as f64);
-    let result = solve_chain_from(a, b, None, options);
-    if let Ok((_, diag)) = &result {
-        record_diagnostics(diag);
-    }
-    result
-}
-
 /// Records the per-solve counters and observations for a finished
-/// solve. Shared between the robust chain and the factor-cached path so
-/// both feed the same `trace summarize` derived solver line.
+/// solve, whichever stage produced it, so every solve feeds the same
+/// `trace summarize` derived solver line.
 pub(crate) fn record_diagnostics(diag: &SolveDiagnostics) {
     darksil_obs::counter(
         match diag.stage {
@@ -105,8 +71,19 @@ pub(crate) fn record_diagnostics(diag: &SolveDiagnostics) {
     }
 }
 
-/// The fallback chain, optionally seeded — the factored path hands it
-/// a drifted factored iterate to recover from.
+/// Solves `A·x = b` through the CG → restarted CG → dense LU chain,
+/// optionally seeded — the factored path hands it a drifted factored
+/// iterate to recover from.
+///
+/// # Errors
+///
+/// - [`NumericsError::NonFinite`] if the matrix or right-hand side
+///   contains NaN or infinite entries (checked up front, naming the
+///   offending position).
+/// - [`NumericsError::DimensionMismatch`] for incompatible shapes.
+/// - [`NumericsError::ConvergenceFailure`] or
+///   [`NumericsError::SingularMatrix`] only when every stage, including
+///   dense LU, failed.
 pub(crate) fn solve_chain_from(
     a: &CsrMatrix,
     b: &[f64],
@@ -152,7 +129,6 @@ pub(crate) fn solve_chain_from(
     let relaxed = CgOptions {
         tolerance: (options.tolerance * RELAXATION).min(RELAXED_FLOOR),
         max_iterations: stage_two_budget(options, a.rows()),
-        jacobi_preconditioner: true,
     };
     let warm: Option<&[f64]> = if x1.iter().all(|v| v.is_finite()) {
         Some(&x1)
@@ -216,12 +192,7 @@ fn check_finite_inputs(a: &CsrMatrix, b: &[f64]) -> Result<(), NumericsError> {
             context: format!("matrix entry ({row}, {col}) is {value}"),
         });
     }
-    if let Some(bad) = b.iter().position(|v| !v.is_finite()) {
-        return Err(NumericsError::NonFinite {
-            context: format!("right-hand side entry {bad} is {}", b[bad]),
-        });
-    }
-    Ok(())
+    check_finite_rhs(b)
 }
 
 #[cfg(test)]
@@ -239,11 +210,16 @@ mod tests {
         t.to_csr()
     }
 
+    /// The unseeded chain with default options.
+    fn chain(a: &CsrMatrix, b: &[f64]) -> Result<(Vec<f64>, SolveDiagnostics), NumericsError> {
+        solve_chain_from(a, b, None, &CgOptions::default())
+    }
+
     #[test]
     fn healthy_system_stays_in_stage_one() {
         let a = laplacian(30);
         let b = vec![1.0; 30];
-        let (x, diag) = solve_spd_robust(&a, &b, &CgOptions::default()).expect("solves");
+        let (x, diag) = chain(&a, &b).expect("solves");
         assert_eq!(diag.stage, SolveStage::Cg);
         assert_eq!(diag.fallbacks, 0);
         let r = a.mul_vec(&x);
@@ -259,9 +235,8 @@ mod tests {
         let opts = CgOptions {
             tolerance: 1.0e-12,
             max_iterations: 2,
-            jacobi_preconditioner: true,
         };
-        let (x, diag) = solve_spd_robust(&a, &b, &opts).expect("fallback chain solves");
+        let (x, diag) = solve_chain_from(&a, &b, None, &opts).expect("fallback chain solves");
         assert!(diag.fallbacks >= 1, "expected at least one fallback");
         let r = a.mul_vec(&x);
         for (i, ri) in r.iter().enumerate() {
@@ -278,7 +253,7 @@ mod tests {
         t.add(0, 0, -1.0);
         t.add(1, 1, -1.0);
         let a = t.to_csr();
-        let (x, diag) = solve_spd_robust(&a, &[3.0, 3.0], &CgOptions::default()).expect("lu");
+        let (x, diag) = chain(&a, &[3.0, 3.0]).expect("lu");
         assert_eq!(diag.stage, SolveStage::DenseLu);
         assert!((x[0] + 3.0).abs() < 1e-9 && (x[1] + 3.0).abs() < 1e-9);
     }
@@ -288,15 +263,14 @@ mod tests {
         let a = laplacian(4);
         let mut b = vec![1.0; 4];
         b[2] = f64::NAN;
-        let err = solve_spd_robust(&a, &b, &CgOptions::default()).expect_err("rejects NaN");
+        let err = chain(&a, &b).expect_err("rejects NaN");
         assert!(matches!(err, NumericsError::NonFinite { .. }));
         assert!(err.to_string().contains("entry 2"), "{err}");
 
         let mut t = TripletMatrix::new(2, 2);
         t.add(0, 0, f64::INFINITY);
         t.add(1, 1, 1.0);
-        let err = solve_spd_robust(&t.to_csr(), &[1.0, 1.0], &CgOptions::default())
-            .expect_err("rejects Inf");
+        let err = chain(&t.to_csr(), &[1.0, 1.0]).expect_err("rejects Inf");
         assert!(err.to_string().contains("(0, 0)"), "{err}");
     }
 
@@ -304,7 +278,7 @@ mod tests {
     fn warm_start_from_exact_solution_converges_immediately() {
         let a = laplacian(40);
         let b = vec![1.0; 40];
-        let (x, _) = solve_spd_robust(&a, &b, &CgOptions::default()).expect("cold solves");
+        let (x, _) = chain(&a, &b).expect("cold solves");
         let (x2, diag) =
             solve_chain_from(&a, &b, Some(&x), &CgOptions::default()).expect("warm solves");
         assert_eq!(diag.stage, SolveStage::Cg);
@@ -393,6 +367,36 @@ mod tests {
             );
             prop_assert!(warm.cg_iterations <= cold.cg_iterations + 1);
         }
+
+        /// Starving CG of iterations never loses the answer: the chain
+        /// falls back (restarted CG, then dense LU) and the final
+        /// solution is still accurate.
+        #[test]
+        fn starved_cg_still_solves_via_fallbacks(
+            edges in prop::collection::vec(0.1_f64..10.0, 19),
+            rhs in prop::collection::vec(-10.0_f64..10.0, 20),
+            cap in 1_usize..4,
+        ) {
+            let n = 20;
+            let mut t = TripletMatrix::new(n, n);
+            for (i, &g) in edges.iter().enumerate() {
+                t.stamp_conductance(i, i + 1, g);
+            }
+            for i in 0..n {
+                t.stamp_to_reference(i, 1.0);
+            }
+            let a = t.to_csr();
+            let options = CgOptions {
+                max_iterations: cap,
+                ..CgOptions::default()
+            };
+            let (x, diag) = solve_chain_from(&a, &rhs, None, &options)
+                .expect("fallback chain must rescue a starved CG");
+            let residual = a.residual_norm(&x, &rhs);
+            let scale = 1.0 + norm2(&rhs);
+            prop_assert!(residual < 1e-4 * scale, "residual {residual} via {:?}", diag.stage);
+            prop_assert!(x.iter().all(|v| v.is_finite()));
+        }
     }
 
     #[test]
@@ -402,8 +406,7 @@ mod tests {
         t.add(0, 1, 1.0);
         t.add(1, 0, 1.0);
         t.add(1, 1, 1.0);
-        let err = solve_spd_robust(&t.to_csr(), &[1.0, 2.0], &CgOptions::default())
-            .expect_err("singular");
+        let err = chain(&t.to_csr(), &[1.0, 2.0]).expect_err("singular");
         assert!(matches!(err, NumericsError::SingularMatrix { .. }));
     }
 }

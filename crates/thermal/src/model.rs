@@ -3,10 +3,7 @@
 use darksil_floorplan::Floorplan;
 use std::sync::Arc;
 
-use darksil_numerics::{
-    solve_spd_factored, CgOptions, CsrMatrix, FactorCache, SolveDiagnostics, SpdFactors,
-    TripletMatrix,
-};
+use darksil_numerics::{solve_spd_factored, CsrMatrix, FactorCache, SpdFactors, TripletMatrix};
 use darksil_units::{Celsius, Watts};
 
 use crate::{PackageConfig, ThermalError, ThermalMap};
@@ -342,23 +339,19 @@ impl ThermalModel {
         Ok(rhs)
     }
 
+    /// Wraps a full node state as a map; for subdivided models each
+    /// core's die temperature is the maximum over its cells.
     pub(crate) fn map_from_state(&self, state: Vec<f64>) -> ThermalMap {
         if self.subdivision == 1 {
             return ThermalMap::from_state(state, self.cores, self.rows, self.cols);
         }
-        let die = Self::project_die(&self.core_of_cell, self.cores, &state);
-        ThermalMap::from_parts(die, state, self.rows, self.cols)
-    }
-
-    /// Per-core die temperatures as the maximum over each core's cells.
-    pub(crate) fn project_die(core_of_cell: &[usize], cores: usize, state: &[f64]) -> Vec<f64> {
-        let mut die = vec![f64::NEG_INFINITY; cores];
-        for (cell, &owner) in core_of_cell.iter().enumerate() {
+        let mut die = vec![f64::NEG_INFINITY; self.cores];
+        for (cell, &owner) in self.core_of_cell.iter().enumerate() {
             if state[cell] > die[owner] {
                 die[owner] = state[cell];
             }
         }
-        die
+        ThermalMap::from_parts(die, state, self.rows, self.cols)
     }
 
     /// Solves the steady-state temperatures for a per-core power map.
@@ -377,30 +370,11 @@ impl ThermalModel {
     /// [`ThermalError::NonFinitePower`] for NaN/Inf power inputs, and
     /// [`ThermalError::Solver`] if every stage of the chain fails.
     pub fn steady_state(&self, power: &[Watts]) -> Result<ThermalMap, ThermalError> {
-        self.steady_state_with_diagnostics(power)
-            .map(|(map, _)| map)
-    }
-
-    /// Like [`ThermalModel::steady_state`] but also reports which solver
-    /// stage produced the answer and how much work it took.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`ThermalModel::steady_state`].
-    pub fn steady_state_with_diagnostics(
-        &self,
-        power: &[Watts],
-    ) -> Result<(ThermalMap, SolveDiagnostics), ThermalError> {
         let _span = darksil_obs::span("thermal.steady_state");
         #[allow(clippy::cast_precision_loss)]
         darksil_obs::observe("thermal.solve_nodes", self.node_count() as f64);
         let rhs = self.rhs(power)?;
-        let (state, diagnostics) = solve_spd_factored(
-            self.factors.as_deref(),
-            &self.g,
-            &rhs,
-            &CgOptions::default(),
-        )?;
+        let (state, _) = solve_spd_factored(self.factors.as_deref(), &self.g, &rhs)?;
         let map = self.map_from_state(state);
         if darksil_obs::events_enabled() {
             let peak = map.peak().value();
@@ -409,7 +383,7 @@ impl ThermalModel {
                 vec![("peak_c", peak.into()), ("cores", cores.into())]
             });
         }
-        Ok((map, diagnostics))
+        Ok(map)
     }
 }
 

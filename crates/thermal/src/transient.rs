@@ -34,16 +34,11 @@ const CORE_SAMPLE_EVERY: u64 = 32;
 /// die dynamics explicitly.
 #[derive(Debug, Clone)]
 pub struct TransientSim {
-    ode: LinearOde,
+    /// The model this simulation was built from: it owns the input
+    /// vector and the map projection.
+    model: ThermalModel,
     stepper: BackwardEuler,
     state: Vec<f64>,
-    g_ambient: Vec<f64>,
-    ambient_c: f64,
-    cores: usize,
-    rows: usize,
-    cols: usize,
-    subdivision: usize,
-    core_of_cell: Vec<usize>,
     elapsed: f64,
     dt: f64,
     /// Threshold for `thermal.watermark` crossing events, when set.
@@ -64,20 +59,12 @@ impl TransientSim {
     /// Returns [`ThermalError::Solver`] for a non-positive step or an
     /// inconsistent model.
     pub fn new(model: &ThermalModel, dt: Seconds) -> Result<Self, ThermalError> {
-        let ode = LinearOde::new(model.conductance().clone(), model.capacitances().to_vec())?;
-        let stepper = ode.backward_euler(dt.value())?;
-        let (rows, cols) = model.grid_shape();
+        let stepper = LinearOde::new(model.conductance().clone(), model.capacitances().to_vec())?
+            .backward_euler(dt.value())?;
         Ok(Self {
-            ode,
+            model: model.clone(),
             stepper,
             state: vec![model.ambient().value(); model.node_count()],
-            g_ambient: model.ambient_conductances().to_vec(),
-            ambient_c: model.ambient().value(),
-            cores: model.core_count(),
-            rows,
-            cols,
-            subdivision: model.subdivision(),
-            core_of_cell: model.core_of_cell().to_vec(),
             elapsed: 0.0,
             dt: dt.value(),
             watermark: None,
@@ -146,16 +133,11 @@ impl TransientSim {
     ///
     /// # Errors
     ///
-    /// Returns [`ThermalError::PowerMapMismatch`] for wrong-length maps
-    /// and [`ThermalError::Solver`] if the implicit solve fails.
+    /// Returns [`ThermalError::PowerMapMismatch`] for wrong-length maps,
+    /// [`ThermalError::NonFinitePower`] for NaN/Inf power inputs, and
+    /// [`ThermalError::Solver`] if the implicit solve fails.
     pub fn step(&mut self, power: &[Watts]) -> Result<ThermalMap, ThermalError> {
-        if power.len() != self.cores {
-            return Err(ThermalError::PowerMapMismatch {
-                got: power.len(),
-                expected: self.cores,
-            });
-        }
-        let b = self.input_vector(power);
+        let b = self.model.rhs(power)?;
         self.state = self.stepper.step(&self.state, &b)?;
         self.elapsed += self.dt;
         self.steps_taken += 1;
@@ -233,32 +215,21 @@ impl TransientSim {
     /// The current temperatures without advancing time.
     #[must_use]
     pub fn snapshot(&self) -> ThermalMap {
-        if self.subdivision == 1 {
-            return ThermalMap::from_state(self.state.clone(), self.cores, self.rows, self.cols);
-        }
-        let die = crate::ThermalModel::project_die(&self.core_of_cell, self.cores, &self.state);
-        ThermalMap::from_parts(die, self.state.clone(), self.rows, self.cols)
+        self.model.map_from_state(self.state.clone())
     }
 
     /// Derivative magnitude (∞-norm of dT/dt) — a convergence signal.
-    #[must_use]
-    pub fn rate_of_change(&self, power: &[Watts]) -> f64 {
-        let b = self.input_vector(power);
-        self.ode
-            .derivative(&self.state, &b)
-            .iter()
-            .fold(0.0, |acc, d| acc.max(d.abs()))
-    }
-
-    /// Builds `P + G_amb·T_amb`, spreading each core's power over its
-    /// die cells.
-    fn input_vector(&self, power: &[Watts]) -> Vec<f64> {
-        let mut b: Vec<f64> = self.g_ambient.iter().map(|g| g * self.ambient_c).collect();
-        let share = 1.0 / (self.subdivision * self.subdivision) as f64;
-        for (cell, &owner) in self.core_of_cell.iter().enumerate() {
-            b[cell] += power[owner].value() * share;
-        }
-        b
+    ///
+    /// # Errors
+    ///
+    /// Same power-map checks as [`TransientSim::step`].
+    pub fn rate_of_change(&self, power: &[Watts]) -> Result<f64, ThermalError> {
+        let b = self.model.rhs(power)?;
+        let g_t = self.model.conductance().mul_vec(&self.state);
+        Ok(b.iter()
+            .zip(&g_t)
+            .zip(self.model.capacitances())
+            .fold(0.0, |acc, ((bi, gi), ci)| acc.max(((bi - gi) / ci).abs())))
     }
 }
 
@@ -300,7 +271,7 @@ mod tests {
             now.peak(),
             steady.peak()
         );
-        assert!(sim.rate_of_change(&power) < 1e-3);
+        assert!(sim.rate_of_change(&power).expect("valid power map") < 1e-3);
     }
 
     #[test]
@@ -385,6 +356,26 @@ mod tests {
             .steady_state(&[Watts::zero(); 4])
             .expect("solve succeeds");
         assert!(TransientSim::from_map(&m, &map, Seconds::new(0.01)).is_err());
+    }
+
+    #[test]
+    fn non_finite_power_is_rejected_like_steady_state() {
+        let m = small_model();
+        let mut sim = TransientSim::new(&m, Seconds::new(0.01)).expect("test value");
+        for bad in [f64::NAN, f64::INFINITY] {
+            let mut power = vec![Watts::new(1.0); 16];
+            power[5] = Watts::new(bad);
+            let steady = m.steady_state(&power).expect_err("steady state rejects");
+            let step = sim.step(&power).expect_err("step rejects");
+            let ThermalError::NonFinitePower { core, value } = &step else {
+                panic!("expected NonFinitePower, got {step:?}");
+            };
+            assert_eq!((*core, value.to_bits()), (5, bad.to_bits()));
+            assert_eq!(step.to_string(), steady.to_string());
+        }
+        // A rejected step leaves the simulation where it was.
+        assert_eq!(sim.elapsed(), Seconds::zero());
+        assert_eq!(sim.snapshot().peak(), m.ambient());
     }
 
     #[test]
